@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from qutritsim import Ket3, dm_from_ket, state_to_points
-from qutritsim.cli import parse_state_spec, sample_trajectory
+from qutritsim.cli import parse_state_spec
 from qutritsim.gates import chrestenson, swap
 from qutritsim.geometry import CanonicalForm, canonical_state, magnetization
 from qutritsim.nmrsim import (
@@ -33,6 +33,7 @@ from qutritsim.nmrsim import (
     transition_frequencies,
 )
 from qutritsim.tomography import tomo_report
+from qutritsim.trajectory import sample_trajectory
 
 
 def state_points(psi: Ket3) -> dict:

@@ -2,13 +2,15 @@
 
 Majorana-sphere representation of a three-level system, SU(3)/SO(3)
 transformation algebra, canonical-state geometry and magnetization,
-ternary quantum gates, an ideal spin-1 NMR pulse simulator, and a
-linear-inversion state tomography protocol.
+ternary quantum gates, an ideal spin-1 NMR pulse simulator, a
+linear-inversion state tomography protocol, and point-pair trajectories
+under a generator.
 """
 
 from .core import (
     ATOL,
     DEGENERACY_EPS,
+    ContractViolation,
     DensityMatrix3,
     Ket3,
     Unitary3,
@@ -29,6 +31,7 @@ from .majorana import (
     SpherePointPair,
     great_circle_distance,
     inverse_stereographic,
+    kets_to_points,
     pair_distance,
     points_to_state,
     rotate_pair,
@@ -106,5 +109,6 @@ from .tomography import (
     tomo_fidelity,
     tomo_report,
 )
+from .trajectory import sample_trajectory
 
 __version__ = "0.1.0"

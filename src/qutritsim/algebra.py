@@ -116,17 +116,34 @@ def transition_op(levels, axis: str) -> TransitionOp:
     return TransitionOp(levels=levels, axis=axis, matrix=mat)
 
 
+def _expm_i_eigh(theta: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(i*theta*H) from the eigendecomposition H = v diag(w) v^dag."""
+    return (v * np.exp(1j * theta * w)) @ v.conj().T
+
+
 def _expm_i_hermitian(theta: float, herm: np.ndarray) -> np.ndarray:
     """exp(i*theta*H) for Hermitian H, via eigendecomposition."""
+    return _expm_i_eigh(theta, *np.linalg.eigh(herm))
+
+
+def _eigh(herm: np.ndarray) -> tuple:
     w, v = np.linalg.eigh(herm)
-    return (v * np.exp(1j * theta * w)) @ v.conj().T
+    w.setflags(write=False)
+    return w, Unitary3(v)
+
+
+# (eigenvalues, validated eigenbasis) of each constant generator, computed
+# once; u_lambda and trajectory sampling read these instead of calling eigh.
+GELL_MANN_EIGH = tuple(_eigh(h) for h in GELL_MANN)
+SIGMA_EIGH = tuple(_eigh(s) for s in SIGMA)
 
 
 def u_lambda(i: int, theta: float) -> Unitary3:
     """exp(i*theta*L_i) for the i-th Gell-Mann generator, i in 1..8."""
     if not 1 <= i <= 8:
         raise ValueError(f"Gell-Mann index must be in 1..8, got {i}")
-    return Unitary3(_expm_i_hermitian(theta, GELL_MANN[i - 1]))
+    w, basis = GELL_MANN_EIGH[i - 1]
+    return Unitary3(_expm_i_eigh(theta, w, basis.mat))
 
 
 def u_sigma(j: int, xi: float) -> Unitary3:

@@ -28,8 +28,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import Ket3, dm_from_ket, normalize, phase_invariant_distance, random_ket
-from .algebra import u_lambda, u_sigma
+from .core import (
+    ContractViolation,
+    Ket3,
+    dm_from_ket,
+    normalize,
+    phase_invariant_distance,
+    random_ket,
+)
 from .gates import GATE_NAMES, gate_by_name
 from .geometry import canonical_decompose, canonical_state, magnetization
 from .majorana import SpherePoint, SpherePointPair, points_to_state, state_to_points
@@ -42,6 +48,7 @@ from .nmrsim import (
     verify_sequence,
 )
 from .tomography import tomo_report
+from .trajectory import sample_trajectory
 
 VERIFY_THRESHOLD = 1.0 - 1e-8
 
@@ -50,10 +57,6 @@ TRAJECTORY_CSV_HEADER = "theta,p1x,p1y,p1z,p2x,p2y,p2z,mx,my,mz"
 
 class UsageError(ValueError):
     """Bad arguments or unparseable input; exit code 1."""
-
-
-class ContractViolation(RuntimeError):
-    """A numerical contract failed under --assert semantics; exit code 2."""
 
 
 def _precision() -> int:
@@ -244,69 +247,13 @@ def cmd_gate(args) -> int:
     return 0
 
 
-def _trajectory_unitary(generator: str):
-    """Evolution map for trajectory sampling.
-
-    lambda<i> follows the pulse convention, exp(i (theta/2) L_i): the
-    sequence angle theta produces a rotation theta/2 on the driven
-    subspace. sigma<j> is the non-selective rotation exp(i theta S_j).
-    """
-    if generator.startswith("lambda"):
-        idx = generator[len("lambda"):]
-        if idx.isdigit() and 1 <= int(idx) <= 8:
-            i = int(idx)
-            return lambda theta: u_lambda(i, 0.5 * theta)
-    if generator.startswith("sigma"):
-        idx = generator[len("sigma"):]
-        if idx.isdigit() and 1 <= int(idx) <= 3:
-            j = int(idx)
-            return lambda theta: u_sigma(j, theta)
-    raise UsageError(
-        f"unknown generator {generator!r}; expected lambda1..lambda8 or sigma1..sigma3"
-    )
-
-
-def sample_trajectory(generator: str, psi: Ket3, steps: int, rng_range: float):
-    """Point-pair and magnetization samples with continuous pair tracking."""
-    if steps < 2:
-        raise UsageError("trajectory needs at least 2 steps")
-    evolve = _trajectory_unitary(generator)
-    step = rng_range / steps
-    # Points can meet at a pole with square-root speed, so the continuity
-    # bound needs a sqrt(step) term on fine grids.
-    jump_bound = max(6.0 * abs(step), 3.0 * math.sqrt(abs(step)))
-    samples = []
-    prev = None
-    for k in range(steps):
-        # k/steps keeps dyadic grid fractions exact (theta hits pi exactly
-        # for even step counts over a full turn)
-        theta = rng_range * (k / steps)
-        psi_t = evolve(theta).apply(psi)
-        pts = state_to_points(psi_t).cartesian()
-        if prev is not None:
-            def gc(u, v):
-                return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
-
-            direct = max(gc(prev[0], pts[0]), gc(prev[1], pts[1]))
-            swapped = max(gc(prev[0], pts[1]), gc(prev[1], pts[0]))
-            if swapped < direct:
-                pts = pts[::-1]
-            if min(direct, swapped) > jump_bound:
-                raise ContractViolation(
-                    f"trajectory discontinuity at theta={theta:.6g}: point jump "
-                    f"{min(direct, swapped):.3g} rad exceeds bound {jump_bound:.3g}; "
-                    "increase --steps"
-                )
-        prev = pts
-        m = magnetization(psi_t).m_vector
-        samples.append((theta, pts[0], pts[1], m))
-    return samples
-
-
 def cmd_trajectory(args) -> int:
     psi = parse_state_spec(_join_spec(args.spec), args.degrees, args.seed)
     rng_range = _angle(args.range, args.degrees)
-    samples = sample_trajectory(args.generator, psi, args.steps, rng_range)
+    try:
+        samples = sample_trajectory(args.generator, psi, args.steps, rng_range)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.csv:
         prec = _precision()
 

@@ -26,6 +26,10 @@ class ZeroVectorError(ValueError):
     """A vector with (near-)zero norm cannot be normalized."""
 
 
+class ContractViolation(RuntimeError):
+    """A numerical contract failed; the CLI exits with code 2."""
+
+
 def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=complex).reshape(shape)
     arr.setflags(write=False)
@@ -45,7 +49,7 @@ class Ket3:
         vec = _frozen_array(self.vec, (DIM,))
         object.__setattr__(self, "vec", vec)
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # also refuses NaN
             raise ValueError(f"state vector is not normalized (norm={norm:.3e})")
 
     @property
@@ -90,7 +94,7 @@ class Unitary3:
     def __post_init__(self):
         mat = _frozen_array(self.mat, (DIM, DIM))
         object.__setattr__(self, "mat", mat)
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(DIM))) > ATOL:
+        if not np.max(np.abs(mat.conj().T @ mat - np.eye(DIM))) <= ATOL:
             raise ValueError("matrix is not unitary")
 
     def apply(self, psi: Ket3) -> Ket3:

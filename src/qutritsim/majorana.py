@@ -30,6 +30,9 @@ from .core import DEGENERACY_EPS, Ket3
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+# A discriminant within _DOUBLE_ROOT_TOL * amax^2 of zero is taken as a
+# double root: roundoff in it would split the root by ~sqrt(eps).
+_DOUBLE_ROOT_TOL = 64.0 * np.finfo(float).eps
 
 
 class SouthPoleError(ValueError):
@@ -136,7 +139,9 @@ class MajoranaPoly:
         """(finite roots, number of roots at infinity).
 
         A leading coefficient below DEGENERACY_EPS relative to the largest
-        coefficient drops the degree and sends one root to infinity.
+        coefficient drops the degree and sends one root to infinity. A
+        discriminant within _DOUBLE_ROOT_TOL * amax^2 of zero (spin-coherent
+        states) gives the double root -a1/(2 a0) exactly.
         Quadratics are solved in the cancellation-stable form: q =
         -(a1 + s*sqrt(a1^2 - 4 a0 a2))/2 with s chosen to avoid
         subtracting near-equal magnitudes; the roots are q/a0 and a2/q.
@@ -152,7 +157,11 @@ class MajoranaPoly:
             return [-a2 / a1], 1
         if abs(a1) <= eps and abs(a2) <= eps:
             return [0.0 + 0.0j, 0.0 + 0.0j], 0
-        sq = cmath.sqrt(a1 * a1 - 4.0 * a0 * a2)
+        disc = a1 * a1 - 4.0 * a0 * a2
+        if abs(disc) <= _DOUBLE_ROOT_TOL * amax * amax:
+            z = -a1 / (2.0 * a0)
+            return [z, z], 0
+        sq = cmath.sqrt(disc)
         if (a1.real * sq.real + a1.imag * sq.imag) >= 0.0:
             q = -0.5 * (a1 + sq)
         else:
@@ -187,6 +196,44 @@ def state_to_points(psi: Ket3) -> SpherePointPair:
     finite, at_infinity = MajoranaPoly.from_ket(psi).roots()
     points = [inverse_stereographic(z) for z in finite] + [_SOUTH] * at_infinity
     return SpherePointPair(points[0], points[1])
+
+
+def kets_to_points(kets) -> np.ndarray:
+    """Cartesian Majorana pairs of an (N, 3) array of normalized kets.
+
+    Returns an (N, 2, 3) array. Row n is state_to_points(kets[n])
+    .cartesian(), point order included: the same degeneracy branches as
+    MajoranaPoly.roots (one or two roots at infinity, both roots zero,
+    double root), the same stable quadratic formula and the same angle
+    conventions, evaluated for all rows at once.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    a0, a1, a2 = kets[:, 0] / _SQRT2, -kets[:, 1], kets[:, 2] / _SQRT2
+    m0, m1, m2 = np.abs(a0), np.abs(a1), np.abs(a2)
+    amax = np.maximum(np.maximum(m0, m1), m2)
+    if not np.all(amax > 0.0):
+        raise ValueError("all polynomial coefficients vanish")
+    eps = DEGENERACY_EPS * amax
+    lead = m0 <= eps
+    both_south = lead & (m1 <= eps)
+    both_north = ~lead & (m1 <= eps) & (m2 <= eps)
+    disc = a1 * a1 - 4.0 * a0 * a2
+    double = ~lead & ~both_north & (np.abs(disc) <= _DOUBLE_ROOT_TOL * amax * amax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(disc)
+        q = -0.5 * (a1 + np.where(a1.real * sq.real + a1.imag * sq.imag >= 0.0, sq, -sq))
+        z1 = np.where(lead, -a2 / a1, np.where(double, -a1 / (2.0 * a0), q / a0))
+        z2 = np.where(double, z1, a2 / q)
+    z1[both_north] = z2[both_north] = 0.0
+    roots = np.stack([z1, z2], axis=1)
+    south = np.stack([both_south, lead], axis=1)
+    # inverse_stereographic, then SpherePoint's canonical angles
+    theta = np.where(south, math.pi, 2.0 * np.arctan(np.abs(roots)))
+    phi = np.arctan2(roots.imag, roots.real)
+    phi = np.where(phi < 0.0, phi + _TWO_PI, phi)
+    phi[south | (theta == 0.0) | (theta == math.pi) | (phi == _TWO_PI)] = 0.0
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def points_to_state(pair: SpherePointPair) -> Ket3:

@@ -1,7 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+
+from qutritsim.majorana import SpherePoint, SpherePointPair
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def degenerate_pairs(rng):
+    """Pairs where the Majorana quadratic degenerates: both points on one
+    pole (|+1>, |-1>), coincident points (spin-coherent states, a double
+    root) and antipodal points."""
+    north, south = SpherePoint(0.0, 0.0), SpherePoint(math.pi, 0.0)
+    pairs = [SpherePointPair(north, north), SpherePointPair(south, south)]
+    for _ in range(100):
+        t, f = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
+        p = SpherePoint(t, f)
+        pairs += [SpherePointPair(p, p), SpherePointPair(p, SpherePoint(math.pi - t, f + math.pi))]
+    return pairs

@@ -15,7 +15,7 @@ from qutritsim.algebra import (
     u_sigma,
 )
 from qutritsim.core import Ket3, random_ket
-from qutritsim.majorana import SpherePoint, state_to_points, great_circle_distance
+from qutritsim.majorana import SpherePoint, great_circle_distance, points_to_state, state_to_points
 
 ANGLE_GRID = (0.0, math.pi / 7, -math.pi / 7, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi)
 
@@ -226,6 +226,15 @@ def test_rigidity_random_sweep(rng):
         j = int(rng.integers(1, 4))
         xi = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         assert majorana_rotation_check(psi, j, xi) <= 1e-8
+
+
+def test_rigidity_degenerate_sweep(rng, degenerate_pairs):
+    # double roots (spin-coherent states, |+1>, |-1>) and antipodal pairs
+    kets = [Ket3([1, 0, 0]), Ket3([0, 0, 1])] + [points_to_state(p) for p in degenerate_pairs]
+    for psi in kets:
+        for j in (1, 2, 3):
+            for xi in (3.0, float(rng.uniform(-2 * math.pi, 2 * math.pi))):
+                assert majorana_rotation_check(psi, j, xi) <= 1e-8
 
 
 def test_rigidity_zero_angle(rng):

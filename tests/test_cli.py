@@ -216,6 +216,16 @@ def test_trajectory_unknown_generator(capsys):
     assert "unknown generator" in err
 
 
+@pytest.mark.parametrize(
+    "option", [("--steps", "1"), ("--steps", "-3"), ("--range", "nan"), ("--range", "inf")]
+)
+def test_trajectory_bad_option_is_one_line_error(capsys, option):
+    code, out, err = run_cli(capsys, "trajectory", "lambda5", "+1", *option)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qutritsim: error: ") and err.count("\n") == 1
+
+
 def test_verify_command_passes(tmp_path, capsys):
     path = tmp_path / "ch.seq"
     path.write_text(sequence_to_text(chrestenson_sequence()))

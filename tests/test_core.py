@@ -39,8 +39,9 @@ def test_normalize_zero_vector():
 
 
 def test_ket_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        Ket3([1, 1, 0])
+    for vec in ([1, 1, 0], [math.nan, 0, 0], [1, math.inf, 0]):
+        with pytest.raises(ValueError):
+            Ket3(vec)
 
 
 def test_dm_basis_projector():
@@ -82,8 +83,9 @@ def test_density_matrix_rejects_bad_inputs():
 
 
 def test_unitary_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        Unitary3(np.diag([1.0, 1.0, 2.0]).astype(complex))
+    for diag in ([1.0, 1.0, 2.0], [1.0, 1.0, math.nan]):
+        with pytest.raises(ValueError):
+            Unitary3(np.diag(diag).astype(complex))
 
 
 def test_fidelity_self_overlap(rng):

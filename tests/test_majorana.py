@@ -80,18 +80,21 @@ def test_points_to_state_swap_symmetry(rng):
         assert phase_invariant_distance(a, b) <= 1e-12
 
 
-def test_round_trip_random(rng):
-    for _ in range(2000):
-        psi = random_ket(rng)
+def test_round_trip_random(rng, degenerate_pairs):
+    kets = [random_ket(rng) for _ in range(2000)]
+    kets += [Ket3([1, 0, 0]), Ket3([0, 0, 1])] + [points_to_state(p) for p in degenerate_pairs]
+    for psi in kets:
         back = points_to_state(state_to_points(psi))
         assert phase_invariant_distance(back, psi) <= 1e-9
 
 
-def test_round_trip_through_pair(rng):
+def test_round_trip_through_pair(rng, degenerate_pairs):
+    pairs = []
     for _ in range(300):
         t1, t2 = rng.uniform(0, math.pi, 2)
         f1, f2 = rng.uniform(0, 2 * math.pi, 2)
-        pair = SpherePointPair(SpherePoint(t1, f1), SpherePoint(t2, f2))
+        pairs.append(SpherePointPair(SpherePoint(t1, f1), SpherePoint(t2, f2)))
+    for pair in pairs + degenerate_pairs:
         back = state_to_points(points_to_state(pair))
         assert pair_distance(back, pair) <= 1e-8
 
