@@ -10,7 +10,6 @@ under a generator.
 from .core import (
     ATOL,
     DEGENERACY_EPS,
-    ContractViolation,
     DensityMatrix3,
     Ket3,
     Unitary3,
@@ -31,7 +30,6 @@ from .majorana import (
     SpherePointPair,
     great_circle_distance,
     inverse_stereographic,
-    kets_to_points,
     pair_distance,
     points_to_state,
     rotate_pair,
@@ -109,6 +107,5 @@ from .tomography import (
     tomo_fidelity,
     tomo_report,
 )
-from .trajectory import sample_trajectory
 
 __version__ = "0.1.0"

@@ -30,9 +30,13 @@ from .core import DEGENERACY_EPS, Ket3
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
-# A discriminant within _DOUBLE_ROOT_TOL * amax^2 of zero is taken as a
-# double root: roundoff in it would split the root by ~sqrt(eps).
-_DOUBLE_ROOT_TOL = 64.0 * np.finfo(float).eps
+# A discriminant within _DOUBLE_ROOT_TOL * |psi|^2 of zero is taken as a
+# double root. |a1^2 - 4 a0 a2| / |psi|^2 is invariant under rotations,
+# so a state and its rotated copy snap alike up to roundoff. Roundoff
+# leaves up to about 5 eps * |psi|^2 in the discriminant of a rotated
+# spin-coherent state; 8 eps snaps those and no pair farther apart than
+# about 1.2e-7 rad.
+_DOUBLE_ROOT_TOL = 8.0 * np.finfo(float).eps
 
 
 class SouthPoleError(ValueError):
@@ -138,29 +142,39 @@ class MajoranaPoly:
     def roots(self) -> tuple:
         """(finite roots, number of roots at infinity).
 
-        A leading coefficient below DEGENERACY_EPS relative to the largest
-        coefficient drops the degree and sends one root to infinity. A
-        discriminant within _DOUBLE_ROOT_TOL * amax^2 of zero (spin-coherent
-        states) gives the double root -a1/(2 a0) exactly.
-        Quadratics are solved in the cancellation-stable form: q =
-        -(a1 + s*sqrt(a1^2 - 4 a0 a2))/2 with s chosen to avoid
-        subtracting near-equal magnitudes; the roots are q/a0 and a2/q.
+        An exactly vanishing leading coefficient drops the degree and
+        sends one root to infinity (two if a1 vanishes too). A
+        discriminant within _DOUBLE_ROOT_TOL * |psi|^2 of zero gives a
+        double root (spin-coherent states): -a1/(2 a0) when it lies in
+        the closed unit disc, else -2 a2/a1, the same mean taken in the
+        chart around the south pole. Other quadratics are solved in the
+        cancellation-stable form: q = -(a1 + s*sqrt(a1^2 - 4 a0 a2))/2
+        with s chosen to avoid subtracting near-equal magnitudes; the
+        roots are q/a0 and a2/q.
+
+        A double root moves by the square root of the roundoff in the
+        state, so the snap trades two errors of order sqrt(eps): pairs
+        closer than about 1.2e-7 rad are merged at their midpoint (each
+        point moves by up to 6e-8 rad), and pairs just farther apart are
+        split by a discriminant that carries roundoff.
         """
         a0, a1, a2 = self.a0, self.a1, self.a2
-        amax = max(abs(a0), abs(a1), abs(a2))
-        if amax == 0.0:
+        norm = 2.0 * abs(a0) ** 2 + abs(a1) ** 2 + 2.0 * abs(a2) ** 2
+        if norm == 0.0:
             raise ValueError("all polynomial coefficients vanish")
-        eps = DEGENERACY_EPS * amax
-        if abs(a0) <= eps:
-            if abs(a1) <= eps:
-                return [], 2
-            return [-a2 / a1], 1
-        if abs(a1) <= eps and abs(a2) <= eps:
-            return [0.0 + 0.0j, 0.0 + 0.0j], 0
+        if a0 == 0.0 and a1 == 0.0:
+            return [], 2
         disc = a1 * a1 - 4.0 * a0 * a2
-        if abs(disc) <= _DOUBLE_ROOT_TOL * amax * amax:
-            z = -a1 / (2.0 * a0)
+        if abs(disc) <= _DOUBLE_ROOT_TOL * norm:
+            if abs(a0) >= abs(a2):
+                z = -a1 / (2.0 * a0)
+            elif a1 == 0.0:
+                return [], 2
+            else:
+                z = -2.0 * a2 / a1
             return [z, z], 0
+        if a0 == 0.0:
+            return [-a2 / a1], 1
         sq = cmath.sqrt(disc)
         if (a1.real * sq.real + a1.imag * sq.imag) >= 0.0:
             q = -0.5 * (a1 + sq)
@@ -202,31 +216,30 @@ def kets_to_points(kets) -> np.ndarray:
     """Cartesian Majorana pairs of an (N, 3) array of normalized kets.
 
     Returns an (N, 2, 3) array. Row n is state_to_points(kets[n])
-    .cartesian(), point order included: the same degeneracy branches as
-    MajoranaPoly.roots (one or two roots at infinity, both roots zero,
-    double root), the same stable quadratic formula and the same angle
-    conventions, evaluated for all rows at once.
+    .cartesian(), point order included: the same branches as
+    MajoranaPoly.roots (roots at infinity, double root in either chart),
+    the same stable quadratic formula and the same angle conventions,
+    evaluated for all rows at once.
     """
     kets = np.asarray(kets, dtype=complex)
     a0, a1, a2 = kets[:, 0] / _SQRT2, -kets[:, 1], kets[:, 2] / _SQRT2
     m0, m1, m2 = np.abs(a0), np.abs(a1), np.abs(a2)
-    amax = np.maximum(np.maximum(m0, m1), m2)
-    if not np.all(amax > 0.0):
+    norm = 2.0 * m0 * m0 + m1 * m1 + 2.0 * m2 * m2
+    if not np.all(norm > 0.0):
         raise ValueError("all polynomial coefficients vanish")
-    eps = DEGENERACY_EPS * amax
-    lead = m0 <= eps
-    both_south = lead & (m1 <= eps)
-    both_north = ~lead & (m1 <= eps) & (m2 <= eps)
     disc = a1 * a1 - 4.0 * a0 * a2
-    double = ~lead & ~both_north & (np.abs(disc) <= _DOUBLE_ROOT_TOL * amax * amax)
+    double = np.abs(disc) <= _DOUBLE_ROOT_TOL * norm
+    north = m0 >= m2
+    both_south = (m0 == 0.0) & (m1 == 0.0) | double & ~north & (m1 == 0.0)
+    lead = (m0 == 0.0) & ~double & ~both_south
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = np.sqrt(disc)
         q = -0.5 * (a1 + np.where(a1.real * sq.real + a1.imag * sq.imag >= 0.0, sq, -sq))
-        z1 = np.where(lead, -a2 / a1, np.where(double, -a1 / (2.0 * a0), q / a0))
+        snap = np.where(north, -a1 / (2.0 * a0), -2.0 * a2 / a1)
+        z1 = np.where(double, snap, np.where(lead, -a2 / a1, q / a0))
         z2 = np.where(double, z1, a2 / q)
-    z1[both_north] = z2[both_north] = 0.0
     roots = np.stack([z1, z2], axis=1)
-    south = np.stack([both_south, lead], axis=1)
+    south = np.stack([both_south, both_south | lead], axis=1)
     # inverse_stereographic, then SpherePoint's canonical angles
     theta = np.where(south, math.pi, 2.0 * np.arctan(np.abs(roots)))
     phi = np.arctan2(roots.imag, roots.real)

@@ -6,12 +6,16 @@ generator lambda1..lambda8 with s = 1/2 (the pulse convention: a
 sequence angle theta turns the driven subspace by theta/2) or a spin-1
 generator sigma1..sigma3 with s = 1.
 
-The whole grid is computed at once. G = v diag(w) v^dag is diagonalized
-once, in ``algebra``, so every sample is the one product
-(v diag(e^{i s theta_k w})) (v^dag psi), evaluated as an (N, 3) array of
-kets whose normalization is checked once for all N. The point map
-(``majorana.kets_to_points``) and the magnetization (<S_j> by einsum)
-then run on that array.
+The whole grid is computed at once, as an (N, 3) array of kets whose
+normalization is checked once for all N, by the same formulas as the
+scalar unitaries. A Gell-Mann generator L = v diag(w) v^dag is
+diagonalized once, in ``algebra``, so every sample is the one product
+(v diag(e^{i theta_k w / 2})) (v^dag psi). A spin-1 generator uses the
+closed form of ``u_sigma``, psi + (cos theta_k - 1) S^2 psi +
+i sin theta_k S psi, whose roundoff does not grow with theta: a
+spin-coherent state then stays within the double-root tolerance of the
+point map. The point map (``majorana.kets_to_points``) and the
+magnetization (<S_j> by einsum) then run on that array.
 
 The point pair of a state is unordered, so the emitted order is chosen
 for continuity: each sample keeps whichever order moves its two points
@@ -35,22 +39,31 @@ import math
 
 import numpy as np
 
-from .algebra import GELL_MANN_EIGH, SIGMA, SIGMA_EIGH
+from .algebra import GELL_MANN_EIGH, SIGMA
 from .core import ATOL, ContractViolation, Ket3
 from .majorana import kets_to_points
 
 _SIGMA = np.stack(SIGMA)
 
 
-def _generator(name: str) -> tuple:
-    """(eigenvalues, eigenbasis, angle scale) of a named trajectory generator."""
-    for prefix, table, scale in (("lambda", GELL_MANN_EIGH, 0.5), ("sigma", SIGMA_EIGH, 1.0)):
-        idx = name[len(prefix):]
-        if name.startswith(prefix) and idx.isdigit() and 1 <= int(idx) <= len(table):
-            w, basis = table[int(idx) - 1]
-            return w, basis.mat, scale
-    raise ValueError(
-        f"unknown generator {name!r}; expected lambda1..lambda8 or sigma1..sigma3"
+def _evolve(name: str, thetas: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(N, 3) kets exp(i s theta_k G) psi of a named trajectory generator."""
+    prefix = name.rstrip("0123456789")
+    idx = name[len(prefix):]
+    count = {"lambda": len(GELL_MANN_EIGH), "sigma": len(SIGMA)}.get(prefix, 0)
+    if not idx or not 1 <= int(idx) <= count:
+        raise ValueError(
+            f"unknown generator {name!r}; expected lambda1..lambda8 or sigma1..sigma3"
+        )
+    if prefix == "lambda":
+        w, basis = GELL_MANN_EIGH[int(idx) - 1]
+        v = basis.mat
+        return (np.exp(1j * np.multiply.outer(0.5 * thetas, w)) * (v.conj().T @ vec)) @ v.T
+    s = SIGMA[int(idx) - 1]
+    return (
+        vec
+        + np.multiply.outer(np.cos(thetas) - 1.0, (s @ s) @ vec)
+        + 1j * np.multiply.outer(np.sin(thetas), s @ vec)
     )
 
 
@@ -99,13 +112,12 @@ def sample_trajectory(generator: str, psi: Ket3, steps: int, rng_range: float) -
     """
     if steps < 2:
         raise ValueError("trajectory needs at least 2 steps")
-    w, v, scale = _generator(generator)
     if not math.isfinite(rng_range):
         raise ValueError(f"trajectory range must be finite, got {rng_range}")
     # k/steps keeps dyadic grid fractions exact (theta hits pi exactly
     # for even step counts over a full turn)
     thetas = rng_range * (np.arange(steps) / steps)
-    kets = (np.exp(1j * np.multiply.outer(scale * thetas, w)) * (v.conj().T @ psi.vec)) @ v.T
+    kets = _evolve(generator, thetas, psi.vec)
     err = float(np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)))
     if not err <= ATOL:
         raise ValueError(f"evolved states are not normalized (error {err:.3e})")

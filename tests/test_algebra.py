@@ -237,6 +237,17 @@ def test_rigidity_degenerate_sweep(rng, degenerate_pairs):
                 assert majorana_rotation_check(psi, j, xi) <= 1e-8
 
 
+def test_rigidity_near_coincident(rng, near_coincident_pairs):
+    # Pairs about 8e-8 to 3e-7 rad apart sit at the double-root tolerance:
+    # the snap can merge the pair on one side of the check and not on the
+    # other, so the documented bound there is 1e-7, not 1e-8.
+    for sep, pair in near_coincident_pairs:
+        psi = points_to_state(pair)
+        bound = 1e-7 if 8e-8 <= sep < 3e-7 else 1e-8
+        for j in (1, 2, 3):
+            assert majorana_rotation_check(psi, j, float(rng.uniform(-2 * math.pi, 2 * math.pi))) <= bound
+
+
 def test_rigidity_zero_angle(rng):
     assert majorana_rotation_check(random_ket(rng), 2, 0.0) <= 1e-12
 

@@ -80,9 +80,10 @@ def test_points_to_state_swap_symmetry(rng):
         assert phase_invariant_distance(a, b) <= 1e-12
 
 
-def test_round_trip_random(rng, degenerate_pairs):
+def test_round_trip_random(rng, degenerate_pairs, near_coincident_pairs):
     kets = [random_ket(rng) for _ in range(2000)]
     kets += [Ket3([1, 0, 0]), Ket3([0, 0, 1])] + [points_to_state(p) for p in degenerate_pairs]
+    kets += [points_to_state(p) for _, p in near_coincident_pairs]
     for psi in kets:
         back = points_to_state(state_to_points(psi))
         assert phase_invariant_distance(back, psi) <= 1e-9
@@ -97,6 +98,19 @@ def test_round_trip_through_pair(rng, degenerate_pairs):
     for pair in pairs + degenerate_pairs:
         back = state_to_points(points_to_state(pair))
         assert pair_distance(back, pair) <= 1e-8
+
+
+def test_round_trip_near_coincident(near_coincident_pairs):
+    # Pairs closer than the double-root tolerance (about 1.2e-7 rad) come
+    # back merged at their midpoint; every other pair comes back within 1e-8.
+    for sep, pair in near_coincident_pairs:
+        back = state_to_points(points_to_state(pair))
+        if back.p1 == back.p2:
+            assert sep <= 1.5e-7
+            mid = SpherePoint.from_cartesian(pair.p1.cartesian() + pair.p2.cartesian())
+            assert great_circle_distance(back.p1, mid) <= 1e-8
+        else:
+            assert pair_distance(back, pair) <= 1e-8
 
 
 def test_root_multiset_matches_projections(rng):

@@ -76,13 +76,19 @@ def test_batched_matches_scalar_reference(generator):
 
 
 def test_kets_to_points_branches():
-    # one root at infinity, both at infinity, both at zero, double root
+    # one root at infinity, both at infinity, both at zero, double root in
+    # the northern and the southern chart, a double root at infinity, a pair
+    # straddling the south pole
+    near_south = SpherePointPair(SpherePoint(math.pi - 1e-6, 0.3), SpherePoint(math.pi - 1e-6, 0.3 + math.pi))
     kets = np.array(
         [
             [0, 1, 0],
             [0, 0, 1],
             [1, 0, 0],
             points_to_state(SpherePointPair(SpherePoint(0.4, 5.0), SpherePoint(0.4, 5.0))).vec,
+            points_to_state(SpherePointPair(SpherePoint(2.7, 1.0), SpherePoint(2.7, 1.0))).vec,
+            [1e-17, 0, 1],
+            points_to_state(near_south).vec,
             random_ket(np.random.default_rng(3)).vec,
         ],
         dtype=complex,
@@ -90,8 +96,12 @@ def test_kets_to_points_branches():
     got = kets_to_points(kets)
     want = np.array([state_to_points(Ket3(k)).cartesian() for k in kets])
     assert np.array_equal(got[:3], want[:3])
+    assert np.array_equal(got[5], got[1])  # both points on the south pole
     assert np.abs(got - want).max() <= 1e-15
-    assert np.array_equal(got[3, 0], got[3, 1])
+    for n in (3, 4):
+        assert np.array_equal(got[n, 0], got[n, 1])
+    true = near_south.cartesian()
+    assert min(np.abs(got[6] - true).max(), np.abs(got[6] - true[::-1]).max()) <= 1e-12
 
 
 NORTH, SOUTH = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
