@@ -132,9 +132,13 @@ def _eigh(herm: np.ndarray) -> tuple:
     return w, Unitary3(v)
 
 
-# (eigenvalues, validated eigenbasis) of each Gell-Mann generator, computed
-# once; u_lambda and trajectory sampling read these instead of calling eigh.
+# (eigenvalues, validated eigenbasis) of each Gell-Mann generator and of
+# each transition operator, computed once; u_lambda, transition_unitary,
+# trajectory sampling and pulse events read these instead of calling eigh.
 GELL_MANN_EIGH = tuple(_eigh(h) for h in GELL_MANN)
+_TRANSITION_EIGH = {key: _eigh(op) for key, op in _TRANSITION_TABLE.items()}
+
+_SIGMA_SQUARED = tuple(_ro(s @ s) for s in SIGMA)
 
 
 def u_lambda(i: int, theta: float) -> Unitary3:
@@ -149,9 +153,13 @@ def u_sigma(j: int, xi: float) -> Unitary3:
     """exp(i*xi*Sigma_j) in closed form: I + (cos xi - 1) S^2 + i sin xi S."""
     if not 1 <= j <= 3:
         raise ValueError(f"axis index must be in 1..3, got {j}")
+    return Unitary3(_u_sigma_mat(j, xi))
+
+
+def _u_sigma_mat(j: int, xi: float) -> np.ndarray:
+    """Unchecked matrix of u_sigma(j, xi); unitary for every finite xi."""
     s = SIGMA[j - 1]
-    mat = np.eye(3) + (math.cos(xi) - 1.0) * (s @ s) + 1j * math.sin(xi) * s
-    return Unitary3(mat)
+    return np.eye(3) + (math.cos(xi) - 1.0) * _SIGMA_SQUARED[j - 1] + 1j * math.sin(xi) * s
 
 
 def r_so3(j: int, xi: float) -> np.ndarray:
@@ -170,9 +178,15 @@ def transition_unitary(op: TransitionOp, xi: float) -> Unitary3:
     holds for every x/y operator and for the z operator of levels (1,2).
     The z operators of (2,3) and (1,3) carry twice that normalization, so
     for them only the exponential form is unitary and it is what is
-    returned.
+    returned. It is built from the eigenbasis cached at import.
     """
-    return Unitary3(_expm_i_hermitian(xi, op.matrix))
+    return Unitary3(_transition_mat(op.levels, op.axis, xi))
+
+
+def _transition_mat(levels: tuple, axis: str, xi: float) -> np.ndarray:
+    """Unchecked exp(i*xi*I_axis^levels); unitary for every finite xi."""
+    w, basis = _TRANSITION_EIGH[(levels, axis)]
+    return _expm_i_eigh(xi, w, basis.mat)
 
 
 def majorana_rotation_check(psi: Ket3, j: int, xi: float) -> float:

@@ -74,6 +74,8 @@ class DensityMatrix3:
     def __post_init__(self):
         mat = _frozen_array(self.mat, (DIM, DIM))
         object.__setattr__(self, "mat", mat)
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
@@ -107,7 +109,13 @@ class Unitary3:
 def normalize(raw) -> Ket3:
     """Scale a raw complex 3-vector to unit norm."""
     vec = np.asarray(raw, dtype=complex).reshape(DIM)
-    norm = np.linalg.norm(vec)
+    if not np.isfinite(vec).all():
+        raise ValueError("state vector has non-finite amplitudes")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if norm == np.inf:  # amplitudes near the float maximum: scale them down first
+        vec = vec / np.max(np.abs(vec.view(float)))
+        norm = np.linalg.norm(vec)
     if norm < DEGENERACY_EPS:
         raise ZeroVectorError("cannot normalize a (near-)zero vector")
     return Ket3(vec / norm)

@@ -29,6 +29,16 @@ per line, angles in degrees:
 
 Detection is ideal with unit gain: the line readout for coherence (r, s)
 is exactly 2 rho_rs.
+
+Validation happens at the boundary, once. A pulse event checks its
+levels, axis and angles (finite) when it is constructed, so every event
+matrix is unitary by construction: the transition exponential comes from
+an eigenbasis computed and checked once at import, the non-selective
+pulse from the closed form I + (cos xi - 1) S^2 + i sin xi S, and the
+z-cascade is a unit-modulus diagonal. ``run_sequence`` then conjugates
+the raw 3x3 array through every event and checks the density matrix once,
+at the exit of the sequence; ``sequence_unitary`` likewise checks the
+composite unitary once.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import transition_op, transition_unitary, u_sigma
+from .algebra import _transition_mat, _u_sigma_mat
 from .core import DensityMatrix3, Unitary3
 
 _SQRT3 = math.sqrt(3.0)
@@ -107,6 +117,13 @@ def thermal_state(params: ThermalParams) -> DensityMatrix3:
 # pulse events
 
 
+def _finite_angle(angle) -> float:
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"pulse angle must be finite, got {angle}")
+    return angle
+
+
 @dataclass(frozen=True)
 class TransitionPulse:
     levels: tuple
@@ -123,6 +140,7 @@ class TransitionPulse:
             )
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
+        object.__setattr__(self, "angle", _finite_angle(self.angle))
 
 
 @dataclass(frozen=True)
@@ -133,6 +151,7 @@ class NonselectivePulse:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
+        object.__setattr__(self, "angle", _finite_angle(self.angle))
 
 
 @dataclass(frozen=True)
@@ -140,7 +159,7 @@ class ZCascade:
     angles: tuple
 
     def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles)
+        angles = tuple(_finite_angle(a) for a in self.angles)
         if len(angles) != 3:
             raise ValueError("z-cascade needs one phase per level")
         object.__setattr__(self, "angles", angles)
@@ -171,10 +190,11 @@ class PulseSequence:
 
 
 def event_unitary(ev: PulseEvent) -> np.ndarray:
+    """The 3x3 unitary of a non-crush event, unchecked: unitary by construction."""
     if isinstance(ev, TransitionPulse):
-        return transition_unitary(transition_op(ev.levels, ev.axis), ev.angle).mat
+        return _transition_mat(ev.levels, ev.axis, ev.angle)
     if isinstance(ev, NonselectivePulse):
-        return u_sigma(_AXIS_TO_J[ev.axis], ev.angle).mat
+        return _u_sigma_mat(_AXIS_TO_J[ev.axis], ev.angle)
     if isinstance(ev, ZCascade):
         return np.diag([cmath.exp(1j * a) for a in ev.angles])
     raise CrushInSequenceError("a gradient crush is not a unitary event")
@@ -182,17 +202,21 @@ def event_unitary(ev: PulseEvent) -> np.ndarray:
 
 def apply_event(rho: DensityMatrix3, ev: PulseEvent) -> DensityMatrix3:
     """One step of the channel: unitary conjugation, or dephasing for crush."""
-    if isinstance(ev, Crush):
-        return DensityMatrix3(np.diag(np.diag(rho.mat)))
-    u = event_unitary(ev)
-    return DensityMatrix3(u @ rho.mat @ u.conj().T)
+    return run_sequence(PulseSequence((ev,)), rho)
 
 
 def run_sequence(seq: PulseSequence, initial: DensityMatrix3) -> DensityMatrix3:
-    rho = initial
+    """Apply every event in order; the result is checked once, at the end."""
+    if not seq.events:
+        return initial
+    mat = initial.mat
     for ev in seq.events:
-        rho = apply_event(rho, ev)
-    return rho
+        if isinstance(ev, Crush):
+            mat = np.diag(np.diag(mat))
+        else:
+            u = event_unitary(ev)
+            mat = u @ mat @ u.conj().T
+    return DensityMatrix3(mat)
 
 
 def sequence_unitary(seq: PulseSequence) -> Unitary3:
@@ -399,10 +423,8 @@ def phase_difference_pipeline(
     in-phase lines of equal amplitude; the phase-gate cascade then
     builds the inter-line phase difference that is returned.
     """
-    rho = thermal_state(thermal)
-    rho = apply_event(rho, NonselectivePulse("y", math.pi / 2))
-    rho = run_sequence(phase_shift_sequence(which, theta), rho)
-    return measure_phase_difference(rho)
+    events = (NonselectivePulse("y", math.pi / 2),) + phase_shift_sequence(which, theta).events
+    return measure_phase_difference(run_sequence(PulseSequence(events), thermal_state(thermal)))
 
 
 def phase_table(thetas_deg=(0.0, 30.0, 45.0, 60.0, 90.0, 120.0)) -> list:

@@ -198,6 +198,16 @@ def test_transition_unitary_matches_series_everywhere():
                 assert np.max(np.abs(transition_unitary(op, xi).mat - oracle)) < 1e-12
 
 
+def test_transition_unitary_cache_matches_fresh_eigh():
+    for levels in ((1, 2), (2, 3), (1, 3)):
+        for axis in ("x", "y", "z"):
+            op = transition_op(levels, axis)
+            w, v = np.linalg.eigh(op.matrix)
+            for xi in ANGLE_GRID + (0.37, -5.9, 123.4):
+                fresh = (v * np.exp(1j * xi * w)) @ v.conj().T
+                assert np.max(np.abs(transition_unitary(op, xi).mat - fresh)) <= 1e-12
+
+
 def test_transition_unitary_equals_u_lambda_on_line12():
     for xi in (0.4, 1.9, -0.8):
         a = transition_unitary(transition_op((1, 2), "x"), xi).mat

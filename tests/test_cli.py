@@ -254,6 +254,27 @@ def test_verify_without_assert_reports_only(tmp_path, capsys):
     assert json.loads(out)["passes"] is False
 
 
+@pytest.mark.parametrize(
+    "text, lineno", [("TR 1 2 x nan\n", 1), ("CRUSH\nZC inf 0 0\n", 2)]
+)
+def test_verify_non_finite_angle_is_one_line_error(tmp_path, capsys, text, lineno):
+    path = tmp_path / "f.seq"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path), "chrestenson")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qutritsim: error: ") and err.count("\n") == 1
+    assert f"line {lineno}: " in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_state_is_one_line_error(capsys):
+    code, out, err = run_cli(capsys, "state", "nan,0 0,0 0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qutritsim: error: ") and err.count("\n") == 1
+
+
 def test_verify_bad_file(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent.seq", "chrestenson")
     assert code == 1

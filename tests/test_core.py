@@ -82,6 +82,34 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix3(np.diag([1.5, 0.5, -1.0]).astype(complex))
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.diag([1.0, 0.0, math.nan]),
+        np.full((3, 3), math.nan),
+        np.diag([1.0, 0.0, 0.0]) + np.diag([0.0, math.inf], k=1),
+    ],
+)
+def test_density_matrix_rejects_non_finite(mat):
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix3(mat.astype(complex))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "raw", [[math.nan, 0, 0], [1, complex(0, math.inf), 0], [-math.inf, 1, 1]]
+)
+def test_normalize_rejects_non_finite(raw):
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize(raw)
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalize_scales_amplitudes_near_float_max():
+    psi = normalize([complex(1.5e308, 1.5e308), 1.5e308, 0])
+    assert np.allclose(psi.vec, np.array([1 + 1j, 1, 0]) / math.sqrt(3.0), atol=1e-15)
+
+
 def test_unitary_rejects_nonunitary():
     for diag in ([1.0, 1.0, 2.0], [1.0, 1.0, math.nan]):
         with pytest.raises(ValueError):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qutritsim.algebra import u_lambda
-from qutritsim.core import DensityMatrix3, Ket3, dm_from_ket, random_ket
+from qutritsim.algebra import transition_op, u_lambda, u_sigma
+from qutritsim.core import (
+    DensityMatrix3,
+    Ket3,
+    Unitary3,
+    dm_from_ket,
+    random_density,
+    random_ket,
+)
 from qutritsim.gates import chrestenson, phase_gate, swap
 from qutritsim.nmrsim import (
     Crush,
@@ -19,6 +26,7 @@ from qutritsim.nmrsim import (
     apply_event,
     chrestenson_sequence,
     double_quantum_sequence,
+    event_unitary,
     hamiltonian,
     lambda_z_sequence,
     phase_difference_pipeline,
@@ -158,6 +166,99 @@ def test_crush_free_sequence_preserves_purity(rng):
 def test_empty_sequence_is_identity(rng):
     rho = dm_from_ket(random_ket(rng))
     assert np.array_equal(run_sequence(PulseSequence(()), rho).mat, rho.mat)
+
+
+# --------------------------------------------------------------------------
+# validation at the boundary: events at construction, the state at the exit
+
+
+def _random_event(rng):
+    kind = int(rng.integers(4))
+    axis = "xyz"[int(rng.integers(3))]
+    angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+    if kind == 0:
+        r = int(rng.integers(1, 3))
+        return TransitionPulse((r, r + 1), axis, angle)
+    if kind == 1:
+        return NonselectivePulse(axis, angle)
+    if kind == 2:
+        return ZCascade(tuple(rng.uniform(-2 * math.pi, 2 * math.pi, 3)))
+    return Crush()
+
+
+def _reference_step(rho: DensityMatrix3, ev) -> DensityMatrix3:
+    """One event with every intermediate checked; TR from a fresh eigh."""
+    if isinstance(ev, Crush):
+        return DensityMatrix3(np.diag(np.diag(rho.mat)))
+    if isinstance(ev, TransitionPulse):
+        w, v = np.linalg.eigh(transition_op(ev.levels, ev.axis).matrix)
+        u = Unitary3((v * np.exp(1j * ev.angle * w)) @ v.conj().T)
+    elif isinstance(ev, NonselectivePulse):
+        u = u_sigma("xyz".index(ev.axis) + 1, ev.angle)
+    else:
+        u = Unitary3(np.diag(np.exp(1j * np.array(ev.angles))))
+    return u.conjugate(rho)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a: TransitionPulse((1, 2), "x", a),
+        lambda a: NonselectivePulse("z", a),
+        lambda a: ZCascade((0.0, a, 0.0)),
+    ],
+)
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_events_refuse_non_finite_angles(make, angle):
+    with pytest.raises(ValueError, match="finite"):
+        make(angle)
+
+
+def test_event_matrices_are_unitary(rng):
+    angles = [0.0, math.pi, -math.pi / 2, 2 * math.pi, 1e6, -123456.789, 1e15]
+    angles += list(rng.uniform(-10.0, 10.0, 20))
+    for angle in angles:
+        events = [ZCascade((angle, -2.0 * angle, 0.5 * angle))]
+        for axis in "xyz":
+            events += [TransitionPulse((1, 2), axis, angle), TransitionPulse((2, 3), axis, angle)]
+            events.append(NonselectivePulse(axis, angle))
+        for ev in events:
+            u = event_unitary(ev)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12, (ev, angle)
+
+
+def test_run_sequence_matches_stepwise_reference(rng):
+    kinds = set()
+    for _ in range(200):
+        seq = PulseSequence(
+            tuple(_random_event(rng) for _ in range(int(rng.integers(0, 21))))
+        )
+        kinds |= {type(ev) for ev in seq.events}
+        rho = random_density(rng)
+        expected = rho
+        for ev in seq.events:
+            expected = _reference_step(expected, ev)
+        got = run_sequence(seq, rho)
+        assert isinstance(got, DensityMatrix3)
+        assert np.max(np.abs(got.mat - expected.mat)) <= 1e-13
+    assert kinds == {TransitionPulse, NonselectivePulse, ZCascade, Crush}
+
+
+def test_run_sequence_checks_the_state_once(rng, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(mat):
+        calls.append(mat)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for n in range(21):
+        seq = PulseSequence(tuple(_random_event(rng) for _ in range(n)))
+        rho = random_density(rng)
+        calls.clear()
+        run_sequence(seq, rho)
+        assert len(calls) == (1 if n else 0)
 
 
 # --------------------------------------------------------------------------
