@@ -38,12 +38,9 @@ from .majorana import (
 )
 from .algebra import (
     GELL_MANN,
-    GENERATORS,
     JDEF,
     ROTATION_SIGN,
     SIGMA,
-    GeneratorSet,
-    TransitionOp,
     majorana_rotation_check,
     r_so3,
     transition_op,

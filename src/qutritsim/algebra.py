@@ -8,11 +8,13 @@ Three generator sets drive everything:
   of SO(3)), with Sigma_3 = diag(1, 0, -1) and [S_1, S_2] = i S_3 cyclic.
 * ``JDEF``: defining-representation rotation generators, Hermitian with
   the same cyclic commutators [J_1, J_2] = i J_3. With this choice,
-  r_so3(j, xi) = exp(i xi J_j) is the clockwise rotation about axis j by
-  xi, which is exactly how the point pair of a state transforms under
-  u_sigma(j, xi). The sign convention is pinned by the z-rotation action
-  on a general state (azimuths decrease by xi) and holds for all axes;
-  see ``majorana_rotation_check``.
+  exp(i xi J_j) is the clockwise rotation about axis j by xi, which is
+  exactly how the point pair of a state transforms under u_sigma(j, xi).
+  ``r_so3(j, xi)`` builds that matrix in closed form, as the Rodrigues
+  rotation about e_j by -xi (``rotation_about_axis``, the one real
+  rotation builder of the package). The sign convention is pinned by the
+  z-rotation action on a general state (azimuths decrease by xi) and
+  holds for all axes; see ``majorana_rotation_check``.
 
 Transition operators I_k^{rs} are the product-operator elements of the
 two-level subspaces, stored as fixed Gell-Mann combinations so the
@@ -22,7 +24,6 @@ identities relating the two families stay testable by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,24 +58,9 @@ _J2 = _ro(1j * np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]))
 _J3 = _ro(1j * np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]]))
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorSet:
-    """The three generator families, built once and read-only."""
-
-    gell_mann: tuple
-    sigma: tuple
-    jdef: tuple
-
-
-GENERATORS = GeneratorSet(
-    gell_mann=(_L1, _L2, _L3, _L4, _L5, _L6, _L7, _L8),
-    sigma=(_S1, _S2, _S3),
-    jdef=(_J1, _J2, _J3),
-)
-
-GELL_MANN = GENERATORS.gell_mann
-SIGMA = GENERATORS.sigma
-JDEF = GENERATORS.jdef
+GELL_MANN = (_L1, _L2, _L3, _L4, _L5, _L6, _L7, _L8)
+SIGMA = (_S1, _S2, _S3)
+JDEF = (_J1, _J2, _J3)
 
 # Convention sign pairing u_sigma(j, xi) with r_so3(j, SIGN*xi); fixed by
 # the worked z-rotation example and asserted by the rigidity property.
@@ -84,46 +70,35 @@ _AXES = ("x", "y", "z")
 
 # Product-operator elements per (levels, axis), as Gell-Mann combinations.
 _TRANSITION_TABLE = {
-    ((1, 2), "x"): 0.5 * _L1,
-    ((1, 2), "y"): 0.5 * _L2,
-    ((1, 2), "z"): 0.5 * _L3,
-    ((2, 3), "x"): 0.5 * _L6,
-    ((2, 3), "y"): 0.5 * _L7,
-    ((2, 3), "z"): 0.5 * (_SQRT3 * _L8 - _L3),
-    ((1, 3), "x"): 0.5 * _L4,
-    ((1, 3), "y"): 0.5 * _L5,
-    ((1, 3), "z"): 0.5 * (_SQRT3 * _L8 + _L3),
+    ((1, 2), "x"): _ro(0.5 * _L1),
+    ((1, 2), "y"): _ro(0.5 * _L2),
+    ((1, 2), "z"): _ro(0.5 * _L3),
+    ((2, 3), "x"): _ro(0.5 * _L6),
+    ((2, 3), "y"): _ro(0.5 * _L7),
+    ((2, 3), "z"): _ro(0.5 * (_SQRT3 * _L8 - _L3)),
+    ((1, 3), "x"): _ro(0.5 * _L4),
+    ((1, 3), "y"): _ro(0.5 * _L5),
+    ((1, 3), "z"): _ro(0.5 * (_SQRT3 * _L8 + _L3)),
 }
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionOp:
-    """Single-transition product operator I_k^{rs}."""
-
-    levels: tuple
-    axis: str
-    matrix: np.ndarray
-
-
-def transition_op(levels, axis: str) -> TransitionOp:
-    """Look up I_k^{rs} for levels (r, s) in {(1,2), (2,3), (1,3)}."""
+def _transition_key(levels, axis: str) -> tuple:
     levels = tuple(levels)
     if levels not in {(1, 2), (2, 3), (1, 3)}:
         raise ValueError(f"unknown transition levels {levels!r}")
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    mat = _ro(_TRANSITION_TABLE[(levels, axis)])
-    return TransitionOp(levels=levels, axis=axis, matrix=mat)
+    return levels, axis
+
+
+def transition_op(levels, axis: str) -> np.ndarray:
+    """Read-only matrix of I_k^{rs}, levels (r, s) in {(1,2), (2,3), (1,3)}."""
+    return _TRANSITION_TABLE[_transition_key(levels, axis)]
 
 
 def _expm_i_eigh(theta: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(i*theta*H) from the eigendecomposition H = v diag(w) v^dag."""
     return (v * np.exp(1j * theta * w)) @ v.conj().T
-
-
-def _expm_i_hermitian(theta: float, herm: np.ndarray) -> np.ndarray:
-    """exp(i*theta*H) for Hermitian H, via eigendecomposition."""
-    return _expm_i_eigh(theta, *np.linalg.eigh(herm))
 
 
 def _eigh(herm: np.ndarray) -> tuple:
@@ -162,16 +137,25 @@ def _u_sigma_mat(j: int, xi: float) -> np.ndarray:
     return np.eye(3) + (math.cos(xi) - 1.0) * _SIGMA_SQUARED[j - 1] + 1j * math.sin(xi) * s
 
 
+def rotation_about_axis(axis, angle: float) -> np.ndarray:
+    """Counterclockwise rotation by angle about a unit axis (Rodrigues)."""
+    k = np.asarray(axis, dtype=float)
+    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
+
+
 def r_so3(j: int, xi: float) -> np.ndarray:
-    """exp(i*xi*J_j): real orthogonal, det +1; clockwise rotation about j."""
+    """exp(i*xi*J_j) in closed form: the rotation about e_j by -xi.
+
+    Real orthogonal with det +1; clockwise by xi about axis j.
+    """
     if not 1 <= j <= 3:
         raise ValueError(f"axis index must be in 1..3, got {j}")
-    mat = _expm_i_hermitian(xi, JDEF[j - 1])
-    return np.ascontiguousarray(mat.real)
+    return rotation_about_axis(np.eye(3)[j - 1], -xi)
 
 
-def transition_unitary(op: TransitionOp, xi: float) -> Unitary3:
-    """exp(i*xi*I_k^{rs}): rotation by xi on the (r, s) transition.
+def transition_unitary(levels, axis: str, xi: float) -> Unitary3:
+    """exp(i*xi*I_axis^levels): rotation by xi on the (r, s) transition.
 
     Equals I - P + cos(xi/2) P + 2i sin(xi/2) I_k^{rs} (P the projector
     onto the {r, s} subspace) whenever 2*I_k^{rs} squares to P, which
@@ -180,7 +164,7 @@ def transition_unitary(op: TransitionOp, xi: float) -> Unitary3:
     for them only the exponential form is unitary and it is what is
     returned. It is built from the eigenbasis cached at import.
     """
-    return Unitary3(_transition_mat(op.levels, op.axis, xi))
+    return Unitary3(_transition_mat(*_transition_key(levels, axis), xi))
 
 
 def _transition_mat(levels: tuple, axis: str, xi: float) -> np.ndarray:

@@ -134,10 +134,7 @@ def fidelity(rho: DensityMatrix3, rho_e: DensityMatrix3) -> float:
     Scale-invariant in either argument; equals 1 iff the matrices are
     proportional, which for pure states means identical states.
     """
-    return _fidelity_arrays(rho.mat, rho_e.mat)
-
-
-def _fidelity_arrays(a: np.ndarray, b: np.ndarray) -> float:
+    a, b = rho.mat, rho_e.mat
     overlap = np.trace(a.conj().T @ b).real
     na = np.sqrt(np.trace(a.conj().T @ a).real)
     nb = np.sqrt(np.trace(b.conj().T @ b).real)

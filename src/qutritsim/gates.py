@@ -60,6 +60,8 @@ def swap(levels) -> Unitary3:
 def phase_gate(which: str, theta: float) -> Unitary3:
     """Diagonal phase gate 'l3' or 'l8' with parameter theta in radians."""
     which = which.lower()
+    if not math.isfinite(theta):
+        raise ValueError(f"phase gate theta must be finite, got {theta}")
     if which == "l3":
         mat = np.diag([cmath.exp(1j * theta), cmath.exp(-1j * theta), 1.0])
     elif which == "l8":

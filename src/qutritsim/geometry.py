@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA, u_sigma
+from .algebra import SIGMA, rotation_about_axis, u_sigma
 from .core import ATOL, DEGENERACY_EPS, Ket3, phase_invariant_distance
 from .majorana import SpherePointPair, state_to_points
 
@@ -114,13 +114,6 @@ def magnetization(psi: Ket3) -> MagnetizationReport:
     )
 
 
-def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues formula; axis must be unit length."""
-    k = np.asarray(axis, dtype=float)
-    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
-
-
 def _minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Shortest rotation carrying unit vector u onto unit vector v."""
     c = float(np.dot(u, v))
@@ -134,8 +127,8 @@ def _minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if np.linalg.norm(perp) < 1e-6:
             perp = np.cross(u, [0.0, 1.0, 0.0])
         perp /= np.linalg.norm(perp)
-        return _rotation_about_axis(perp, math.pi)
-    return _rotation_about_axis(cross / s, math.atan2(s, c))
+        return rotation_about_axis(perp, math.pi)
+    return rotation_about_axis(cross / s, math.atan2(s, c))
 
 
 def _pair_to_canonical_rotation(pair: SpherePointPair) -> np.ndarray:
@@ -160,7 +153,7 @@ def _pair_to_canonical_rotation(pair: SpherePointPair) -> np.ndarray:
     # The pair is unordered, so the chord may reach the y axis through
     # either point; take the smaller turn.
     spin = math.remainder(math.pi / 2 - math.atan2(q1[1], q1[0]), math.pi)
-    r2 = _rotation_about_axis(np.array([0.0, 0.0, 1.0]), spin)
+    r2 = rotation_about_axis(np.array([0.0, 0.0, 1.0]), spin)
     return r2 @ r1
 
 

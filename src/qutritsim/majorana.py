@@ -66,7 +66,10 @@ class SpherePoint:
         theta = float(self.theta)
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"polar angle must be in [0, pi], got {theta}")
-        phi = 0.0 if theta in (0.0, math.pi) else _wrap_phi(float(self.phi))
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"azimuth must be finite, got {phi}")
+        phi = 0.0 if theta in (0.0, math.pi) else _wrap_phi(phi)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
@@ -98,20 +101,22 @@ class SpherePointPair:
         return np.stack([self.p1.cartesian(), self.p2.cartesian()])
 
 
+def arc_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Great-circle angle atan2(|u x v|, u.v) between unit vectors, over the
+    last axis and broadcasting the rest; stable near 0 and near pi."""
+    return np.arctan2(
+        np.linalg.norm(np.cross(u, v), axis=-1), np.einsum("...i,...i->...", u, v)
+    )
+
+
 def great_circle_distance(a: SpherePoint, b: SpherePoint) -> float:
-    u, v = a.cartesian(), b.cartesian()
-    return math.atan2(np.linalg.norm(np.cross(u, v)), float(np.dot(u, v)))
+    return float(arc_angle(a.cartesian(), b.cartesian()))
 
 
 def pair_distance(a: SpherePointPair, b: SpherePointPair) -> float:
     """Distance between unordered pairs: best matching, worst point."""
-    direct = max(
-        great_circle_distance(a.p1, b.p1), great_circle_distance(a.p2, b.p2)
-    )
-    swapped = max(
-        great_circle_distance(a.p1, b.p2), great_circle_distance(a.p2, b.p1)
-    )
-    return min(direct, swapped)
+    arc = arc_angle(a.cartesian()[:, None], b.cartesian()[None])
+    return float(min(max(arc[0, 0], arc[1, 1]), max(arc[0, 1], arc[1, 0])))
 
 
 def rotate_pair(rot: np.ndarray, pair: SpherePointPair) -> SpherePointPair:

@@ -75,10 +75,10 @@ class HamiltonianParams:
     kappa: float
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
-            raise ValueError("omega0 must be positive")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0.0 < self.omega0 < math.inf:  # also refuses NaN
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be nonnegative and finite, got {self.kappa}")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .algebra import GELL_MANN_EIGH, SIGMA
 from .core import ATOL, ContractViolation, Ket3
-from .majorana import kets_to_points
+from .majorana import arc_angle, kets_to_points
 
 _SIGMA = np.stack(SIGMA)
 
@@ -81,10 +81,7 @@ def order_continuously(points: np.ndarray, thetas: np.ndarray, bound: float) -> 
     """
     prev, cur = points[:-1], points[1:]
     # arc[k, a, b]: angle between point a of sample k and point b of sample k+1
-    arc = np.arctan2(
-        np.linalg.norm(np.cross(prev[:, :, None], cur[:, None]), axis=-1),
-        np.einsum("kai,kbi->kab", prev, cur),
-    )
+    arc = arc_angle(prev[:, :, None], cur[:, None])
     direct = np.maximum(arc[:, 0, 0], arc[:, 1, 1])
     swapped = np.maximum(arc[:, 0, 1], arc[:, 1, 0])
     jump = np.minimum(direct, swapped)

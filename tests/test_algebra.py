@@ -139,10 +139,10 @@ def test_transition_ops_match_subspace_paulis():
         ((1, 3), "y"): 0.5j * (_basis(3, 1) - _basis(1, 3)),
     }
     for key, expected in half.items():
-        assert np.max(np.abs(transition_op(*key).matrix - expected)) < 1e-12
-    z23 = transition_op((2, 3), "z").matrix
+        assert np.max(np.abs(transition_op(*key) - expected)) < 1e-12
+    z23 = transition_op((2, 3), "z")
     assert np.max(np.abs(z23 - np.diag([0.0, 1.0, -1.0]))) < 1e-12
-    z13 = transition_op((1, 3), "z").matrix
+    z13 = transition_op((1, 3), "z")
     assert np.max(np.abs(z13 - np.diag([1.0, 0.0, -1.0]))) < 1e-12
 
 
@@ -160,15 +160,14 @@ def test_transition_ops_gell_mann_identities():
         (((1, 3), "z"), 0.5 * (sqrt3 * GELL_MANN[7] + GELL_MANN[2])),
     ]
     for key, expected in pairs:
-        assert np.max(np.abs(transition_op(*key).matrix - expected)) < 1e-12
+        assert np.max(np.abs(transition_op(*key) - expected)) < 1e-12
 
 
 def test_transition_unitary_identity_and_full_turn():
-    op = transition_op((1, 2), "x")
-    assert np.max(np.abs(transition_unitary(op, 0.0).mat - np.eye(3))) < 1e-12
+    assert np.max(np.abs(transition_unitary((1, 2), "x", 0.0).mat - np.eye(3))) < 1e-12
     proj = np.diag([1.0, 1.0, 0.0])
     expected = np.eye(3) - 2 * proj
-    assert np.max(np.abs(transition_unitary(op, 2 * math.pi).mat - expected)) < 1e-12
+    assert np.max(np.abs(transition_unitary((1, 2), "x", 2 * math.pi).mat - expected)) < 1e-12
 
 
 def test_transition_unitary_closed_form_where_half_pauli():
@@ -184,9 +183,9 @@ def test_transition_unitary_closed_form_where_half_pauli():
                     np.eye(3)
                     - proj
                     + math.cos(xi / 2) * proj
-                    + 2j * math.sin(xi / 2) * op.matrix
+                    + 2j * math.sin(xi / 2) * op
                 )
-                assert np.max(np.abs(transition_unitary(op, xi).mat - closed)) < 1e-12
+                assert np.max(np.abs(transition_unitary(levels, axis, xi).mat - closed)) < 1e-12
 
 
 def test_transition_unitary_matches_series_everywhere():
@@ -194,30 +193,30 @@ def test_transition_unitary_matches_series_everywhere():
         for axis in ("x", "y", "z"):
             op = transition_op(levels, axis)
             for xi in (0.5, -2.2):
-                oracle = expm_series(1j * xi * op.matrix)
-                assert np.max(np.abs(transition_unitary(op, xi).mat - oracle)) < 1e-12
+                oracle = expm_series(1j * xi * op)
+                assert np.max(np.abs(transition_unitary(levels, axis, xi).mat - oracle)) < 1e-12
 
 
 def test_transition_unitary_cache_matches_fresh_eigh():
     for levels in ((1, 2), (2, 3), (1, 3)):
         for axis in ("x", "y", "z"):
             op = transition_op(levels, axis)
-            w, v = np.linalg.eigh(op.matrix)
+            w, v = np.linalg.eigh(op)
             for xi in ANGLE_GRID + (0.37, -5.9, 123.4):
                 fresh = (v * np.exp(1j * xi * w)) @ v.conj().T
-                assert np.max(np.abs(transition_unitary(op, xi).mat - fresh)) <= 1e-12
+                assert np.max(np.abs(transition_unitary(levels, axis, xi).mat - fresh)) <= 1e-12
 
 
 def test_transition_unitary_equals_u_lambda_on_line12():
     for xi in (0.4, 1.9, -0.8):
-        a = transition_unitary(transition_op((1, 2), "x"), xi).mat
+        a = transition_unitary((1, 2), "x", xi).mat
         b = u_lambda(1, xi / 2).mat
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_transition_pi_pulse_swaps_populations():
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    u = transition_unitary(transition_op((2, 3), "y", ), math.pi).mat
+    u = transition_unitary((2, 3), "y", math.pi).mat
     swapped = u @ rho @ u.conj().T
     assert np.allclose(np.diag(swapped).real, [0.5, 0.2, 0.3], atol=1e-12)
     assert np.max(np.abs(swapped - np.diag(np.diag(swapped)))) < 1e-12
@@ -228,6 +227,18 @@ def test_transition_op_rejects_bad_input():
         transition_op((1, 4), "x")
     with pytest.raises(ValueError):
         transition_op((1, 2), "q")
+
+
+def test_transition_unitary_rejects_bad_input():
+    with pytest.raises(ValueError):
+        transition_unitary((1, 4), "x", 0.3)
+    with pytest.raises(ValueError):
+        transition_unitary((1, 2), "q", 0.3)
+
+
+def test_transition_op_is_read_only():
+    with pytest.raises(ValueError):
+        transition_op((1, 2), "x")[0, 0] = 1.0
 
 
 def test_rigidity_random_sweep(rng):

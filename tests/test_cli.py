@@ -275,6 +275,40 @@ def test_non_finite_state_is_one_line_error(capsys):
     assert err.startswith("qutritsim: error: ") and err.count("\n") == 1
 
 
+def _assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qutritsim: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["points:1,nan,1,0", "points:1,inf,1,0", "points:0,nan,1,0"])
+def test_non_finite_azimuth_is_one_line_error(capsys, spec):
+    _assert_one_line_error(*run_cli(capsys, "state", spec))
+
+
+@pytest.mark.parametrize(
+    "omega0, kappa", [("nan", "1"), ("inf", "1"), ("91.108e6", "nan"), ("91.108e6", "inf")]
+)
+def test_spectrum_non_finite_parameter_is_one_line_error(capsys, omega0, kappa):
+    _assert_one_line_error(*run_cli(capsys, "spectrum", "--omega0", omega0, "--kappa", kappa))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gate", "phase_l3", "0", "--theta", "nan"),
+        ("gate", "phase_l8", "0", "--theta", "inf"),
+        ("verify", "{seq}", "phase_l3", "--theta", "nan"),
+    ],
+)
+def test_phase_gate_non_finite_theta_is_one_line_error(tmp_path, capsys, argv):
+    path = tmp_path / "ch.seq"
+    path.write_text(sequence_to_text(chrestenson_sequence()))
+    code, out, err = run_cli(capsys, *(a.format(seq=path) for a in argv))
+    _assert_one_line_error(code, out, err)
+    assert "theta" in err
+
+
 def test_verify_bad_file(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent.seq", "chrestenson")
     assert code == 1

@@ -12,7 +12,7 @@ from qutritsim.geometry import (
     canonical_state,
     magnetization,
 )
-from qutritsim.majorana import state_to_points
+from qutritsim.majorana import points_to_state, state_to_points
 
 
 def random_rigid_rotation(rng):
@@ -161,11 +161,13 @@ def test_decompose_reconstruction_random(rng):
         )
 
 
-def test_decompose_coincident_and_antipodal_edges():
-    # coincident points (basis kets) and exactly antipodal pairs hit the
-    # constructive-geometry special cases
-    for vec in ([1, 0, 0], [0, 0, 1], [0, 1, 0]):
-        psi = Ket3(vec)
+def test_decompose_coincident_and_antipodal_edges(degenerate_pairs, near_coincident_pairs):
+    # coincident points (basis kets, spin-coherent and near-coincident
+    # pairs) and exactly antipodal pairs hit the constructive-geometry
+    # special cases
+    pairs = degenerate_pairs + [pair for _, pair in near_coincident_pairs]
+    kets = [Ket3(vec) for vec in ([1, 0, 0], [0, 0, 1], [0, 1, 0])]
+    for psi in kets + [points_to_state(pair) for pair in pairs]:
         alpha, angles = canonical_decompose(psi)
         rebuilt = Ket3(angles.unitary() @ psi.vec)
         assert phase_invariant_distance(rebuilt, canonical_state(alpha)) <= 1e-8

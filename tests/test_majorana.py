@@ -145,11 +145,22 @@ def test_sphere_point_canonicalization():
         SpherePoint(-0.1, 0.0)
 
 
-def test_pair_distance_is_order_free():
+@pytest.mark.parametrize(
+    "theta, phi", [(1.0, math.nan), (1.0, math.inf), (0.0, math.nan), (math.pi, -math.inf)]
+)
+def test_sphere_point_rejects_non_finite_azimuth(theta, phi):
+    with pytest.raises(ValueError, match="azimuth"):
+        SpherePoint(theta, phi)
+
+
+def test_pair_distance_is_order_free(degenerate_pairs):
     a = SpherePointPair(SpherePoint(0.3, 1.0), SpherePoint(2.0, 4.0))
     b = SpherePointPair(SpherePoint(2.0, 4.0), SpherePoint(0.3, 1.0))
     assert pair_distance(a, b) < 1e-15
     assert great_circle_distance(a.p1, b.p1) > 1.0
+    for pair in degenerate_pairs:
+        assert pair_distance(pair, pair) == 0.0
+        assert pair_distance(pair, SpherePointPair(pair.p2, pair.p1)) == 0.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -191,7 +191,7 @@ def _reference_step(rho: DensityMatrix3, ev) -> DensityMatrix3:
     if isinstance(ev, Crush):
         return DensityMatrix3(np.diag(np.diag(rho.mat)))
     if isinstance(ev, TransitionPulse):
-        w, v = np.linalg.eigh(transition_op(ev.levels, ev.axis).matrix)
+        w, v = np.linalg.eigh(transition_op(ev.levels, ev.axis))
         u = Unitary3((v * np.exp(1j * ev.angle * w)) @ v.conj().T)
     elif isinstance(ev, NonselectivePulse):
         u = u_sigma("xyz".index(ev.axis) + 1, ev.angle)

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +26,19 @@ def test_reproduce_results_writes_trajectories(tmp_path):
     ]
     for name in names:
         assert len((tmp_path / name).read_text().splitlines()) == 201
+
+
+def test_benchmark_trace_layers_resolve():
+    """Every qutritsim.<module>.<name> the benchmark tracer wraps exists."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, names in tracer.LAYERS.items():
+        for name in names:
+            obj = importlib.import_module(f"qutritsim.{module}")
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module}.{name}")
+    assert missing == []
