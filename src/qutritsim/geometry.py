@@ -115,20 +115,16 @@ def magnetization(psi: Ket3) -> MagnetizationReport:
 
 
 def _minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Shortest rotation carrying unit vector u onto unit vector v."""
-    c = float(np.dot(u, v))
+    """Shortest rotation carrying unit vector u onto unit vector v.
+
+    Requires u.v >= 0 (both callers pick the target on u's side), so
+    parallel vectors are equal and need no turn.
+    """
     cross = np.cross(u, v)
     s = float(np.linalg.norm(cross))
     if s < DEGENERACY_EPS:
-        if c > 0.0:
-            return np.eye(3)
-        # antipodal: pi turn about any axis perpendicular to u
-        perp = np.cross(u, [1.0, 0.0, 0.0])
-        if np.linalg.norm(perp) < 1e-6:
-            perp = np.cross(u, [0.0, 1.0, 0.0])
-        perp /= np.linalg.norm(perp)
-        return rotation_about_axis(perp, math.pi)
-    return rotation_about_axis(cross / s, math.atan2(s, c))
+        return np.eye(3)
+    return rotation_about_axis(cross / s, math.atan2(s, float(np.dot(u, v))))
 
 
 def _pair_to_canonical_rotation(pair: SpherePointPair) -> np.ndarray:

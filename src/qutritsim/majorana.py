@@ -104,9 +104,14 @@ class SpherePointPair:
 def arc_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Great-circle angle atan2(|u x v|, u.v) between unit vectors, over the
     last axis and broadcasting the rest; stable near 0 and near pi."""
-    return np.arctan2(
-        np.linalg.norm(np.cross(u, v), axis=-1), np.einsum("...i,...i->...", u, v)
-    )
+    # Cross and dot products written out on last-axis slices: np.cross
+    # costs several times the arithmetic on the small arrays used here.
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    c0 = u1 * v2 - u2 * v1
+    c1 = u2 * v0 - u0 * v2
+    c2 = u0 * v1 - u1 * v0
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), u0 * v0 + u1 * v1 + u2 * v2)
 
 
 def great_circle_distance(a: SpherePoint, b: SpherePoint) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qutritsim import cli
 from qutritsim.cli import (
     TRAJECTORY_CSV_HEADER,
     main,
@@ -347,3 +352,169 @@ def test_precision_env_var(capsys, monkeypatch):
     report = json.loads(out)
     amp = report["amplitudes"]["c_plus1"][0]
     assert amp == float(f"{math.sin(0.7):.3g}")
+
+
+# --------------------------------------------------------------------------
+# one parser per process, one-pass CSV
+
+# Pairs that could leak state from one call into the next through a reused
+# parser: an error then a valid call, optional arguments given then omitted.
+PARSER_SERIES = [
+    ("spectrum",),  # usage error: missing required options
+    ("spectrum", "--omega0", "91.108e6", "--kappa", "156"),
+    ("--version",),
+    ("spectrum", "--omega0", "91.108e6", "--kappa", "156", "canon:alpha=0.3"),
+    ("spectrum", "--omega0", "91.108e6", "--kappa", "156"),
+    ("gate", "phase_l3", "0", "--theta", "60", "--degrees"),
+    ("gate", "phase_l3", "0", "--theta", "60"),
+    ("state", "random", "--seed", "5"),
+    ("state", "random"),
+    ("state", "not-a-state"),
+    ("trajectory", "lambda2", "+1", "--steps", "8", "--csv"),
+    ("trajectory", "lambda2", "+1", "--steps", "8"),
+]
+
+
+def test_cached_parser_keeps_calls_independent(capsys, monkeypatch):
+    # reference: every call through a fresh parser
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    want = [run_cli(capsys, *argv) for argv in PARSER_SERIES]
+    monkeypatch.undo()
+    assert [code for code, _, _ in want] == [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+
+    built = []
+    fresh_parser = cli.build_parser
+
+    def counted_build_parser():
+        built.append(1)
+        return fresh_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    cli._parser.cache_clear()
+    got = [run_cli(capsys, *argv) for argv in PARSER_SERIES]
+    assert got == want
+    assert len(built) <= 1
+
+
+TRAJECTORY_GENERATORS = [f"lambda{i}" for i in range(1, 9)] + [f"sigma{j}" for j in (1, 2, 3)]
+
+
+def _per_value_csv(generator, spec, prec):
+    """Reference: the trajectory CSV formatted one value and one line at a time."""
+    lines = [TRAJECTORY_CSV_HEADER]
+    samples = sample_trajectory(generator, parse_state_spec(spec), 100, 2 * math.pi)
+    for theta, p1, p2, m in samples:
+        lines.append(",".join(f"{x:.{prec}g}" for x in (theta, *p1, *p2, *m)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("precision", ["1", "3", None, "17"])
+def test_trajectory_csv_matches_per_value_formatting(capsys, monkeypatch, precision):
+    if precision is None:
+        monkeypatch.delenv("QUTRITSIM_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("QUTRITSIM_PRECISION", precision)
+    prec = int(precision or 12)
+    negative_zeros = 0
+    for generator in TRAJECTORY_GENERATORS:
+        for spec in ("+1", "-1", "0", "points:1.1,2.3,1.1,2.3"):
+            code, out, err = run_cli(capsys, "trajectory", generator, spec, "--csv")
+            assert (code, err) == (0, "")
+            assert out == _per_value_csv(generator, spec, prec), (generator, spec)
+            negative_zeros += out.count(",-0,")
+    assert negative_zeros > 0  # the signed zero is part of the contract
+
+
+# --------------------------------------------------------------------------
+# arbitrary text at the input boundary
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"non-finite number {token} in JSON output")
+
+
+def _assert_clean_exit(argv):
+    """main returns 0, 1 or 2 and reports a failure the documented way."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except (Exception, SystemExit) as exc:
+        raise AssertionError(f"{type(exc).__name__} escaped main({argv!r})") from exc
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+        if not out.startswith("usage: "):  # -h prints help
+            json.loads(out, parse_constant=_reject_non_finite)
+    elif err.startswith("usage: "):
+        # argparse: the usage text, then '<prog>: error: <message>'
+        usage, sep, message = err.partition(": error: ")
+        assert sep and usage.startswith("usage: qutritsim"), argv
+        assert usage.rsplit("\n", 1)[-1].startswith("qutritsim"), argv
+        assert message.endswith("\n"), argv
+    else:
+        assert err.startswith("qutritsim: ") and err.count("\n") == 1, (argv, err)
+        assert out == "", argv
+
+
+_FINITE = st.floats(-10.0, 10.0).map(repr)
+_NUMBER = st.one_of(
+    _FINITE,
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-inf", "1e309", "-0", "1_0", "0x1p3", "", " "]),
+    st.text(max_size=4),
+)
+_STATE_SPEC = st.one_of(
+    st.text(),
+    st.sampled_from(["+1", "0", "-1", "random", " -1 ", "-", "--", "-h", "--seed", "--deg"]),
+    st.lists(_NUMBER, min_size=3, max_size=5).map(lambda xs: "points:" + ",".join(xs)),
+    st.lists(_FINITE, min_size=4, max_size=4).map(lambda xs: "points:" + ",".join(xs)),
+    _NUMBER.map(lambda x: "canon:alpha=" + x),
+    st.lists(st.tuples(_NUMBER, _NUMBER), min_size=2, max_size=4).map(
+        lambda amps: " ".join(f"{re},{im}" for re, im in amps)
+    ),
+    st.lists(st.tuples(_FINITE, _FINITE), min_size=3, max_size=3).map(
+        lambda amps: " ".join(f"{re},{im}" for re, im in amps)
+    ),
+)
+_EVENT_LINE = st.one_of(
+    st.tuples(st.sampled_from(["1 2", "2 3", "1 3"]), st.sampled_from("xy"), _FINITE).map(
+        lambda f: "TR " + " ".join(f)
+    ),
+    st.tuples(st.sampled_from("xy"), _FINITE).map(lambda f: "NS " + " ".join(f)),
+    st.lists(_FINITE, min_size=3, max_size=3).map(lambda f: "ZC " + " ".join(f)),
+    st.just("CRUSH"),
+)
+_SEQUENCE_LINE = st.one_of(
+    st.text(),
+    _EVENT_LINE,
+    st.lists(
+        st.one_of(
+            st.sampled_from(["TR", "NS", "ZC", "CRUSH", "tr", "1", "2", "3", "4", "x", "-y", "#"]),
+            _NUMBER,
+        ),
+        max_size=6,
+    ).map(" ".join),
+)
+_SEQUENCE_TEXT = st.one_of(
+    st.text(),
+    st.lists(_SEQUENCE_LINE, max_size=8).map("\n".join),
+    st.lists(_EVENT_LINE, max_size=8).map("\n".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_STATE_SPEC)
+def test_arbitrary_state_text_exits_cleanly(spec):
+    _assert_clean_exit(["state", spec])
+    _assert_clean_exit(["decompose", spec])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_SEQUENCE_TEXT)
+def test_arbitrary_sequence_text_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.seq"
+    path.write_text(text, encoding="utf-8")
+    _assert_clean_exit(["verify", str(path), "chrestenson"])

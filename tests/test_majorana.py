@@ -12,6 +12,7 @@ from qutritsim.majorana import (
     SouthPoleError,
     SpherePoint,
     SpherePointPair,
+    arc_angle,
     great_circle_distance,
     inverse_stereographic,
     pair_distance,
@@ -161,6 +162,33 @@ def test_pair_distance_is_order_free(degenerate_pairs):
     for pair in degenerate_pairs:
         assert pair_distance(pair, pair) == 0.0
         assert pair_distance(pair, SpherePointPair(pair.p2, pair.p1)) == 0.0
+
+
+def test_arc_angle_matches_cross_norm_formula(rng, degenerate_pairs):
+    def reference(u, v):
+        return np.arctan2(
+            np.linalg.norm(np.cross(u, v), axis=-1), np.einsum("...i,...i->...", u, v)
+        )
+
+    u = rng.standard_normal((500, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = rng.standard_normal((500, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    pairs = np.array([pair.cartesian() for pair in degenerate_pairs])
+    cases = [
+        (u, v),  # random
+        (u, u),  # coincident
+        (u, -u),  # antipodal
+        (pairs[:, 0], pairs[:, 1]),  # poles, coincident and antipodal pairs
+        (poles[:, None], np.concatenate([poles, u[:50]])[None]),  # poles, broadcast
+    ]
+    for a, b in cases:
+        got, want = arc_angle(a, b), reference(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+    assert arc_angle(u[0], u[0]) == 0.0
+    assert arc_angle(poles[0], poles[1]) == math.pi
 
 
 @settings(max_examples=100, deadline=None)
