@@ -102,11 +102,11 @@ def main() -> None:
         ),
     }
     for name, (generator, spec) in trajectories.items():
-        samples = sample_trajectory(generator, parse_state_spec(spec), 200, 2 * math.pi)
+        thetas, points, m = sample_trajectory(generator, parse_state_spec(spec), 200, 2 * math.pi)
         write_csv(
             out / f"trajectory_{name}.csv",
             "theta,p1x,p1y,p1z,p2x,p2y,p2z,mx,my,mz",
-            [(t, *p1, *p2, *m) for t, p1, p2, m in samples],
+            np.column_stack((thetas, points.reshape(-1, 6), m)).tolist(),
         )
 
     # sequential swaps walk the poles

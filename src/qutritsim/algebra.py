@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .core import Unitary3, Ket3
+from .majorana import _pair_arc, state_to_points
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -37,6 +38,9 @@ def _ro(values) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
+
+_I3 = np.eye(3)
+_I3.setflags(write=False)
 
 _L1 = _ro([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
 _L2 = _ro([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
@@ -134,14 +138,14 @@ def u_sigma(j: int, xi: float) -> Unitary3:
 def _u_sigma_mat(j: int, xi: float) -> np.ndarray:
     """Unchecked matrix of u_sigma(j, xi); unitary for every finite xi."""
     s = SIGMA[j - 1]
-    return np.eye(3) + (math.cos(xi) - 1.0) * _SIGMA_SQUARED[j - 1] + 1j * math.sin(xi) * s
+    return _I3 + (math.cos(xi) - 1.0) * _SIGMA_SQUARED[j - 1] + 1j * math.sin(xi) * s
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Counterclockwise rotation by angle about a unit axis (Rodrigues)."""
     k = np.asarray(axis, dtype=float)
     kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
+    return _I3 + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
 
 
 def r_so3(j: int, xi: float) -> np.ndarray:
@@ -151,7 +155,7 @@ def r_so3(j: int, xi: float) -> np.ndarray:
     """
     if not 1 <= j <= 3:
         raise ValueError(f"axis index must be in 1..3, got {j}")
-    return rotation_about_axis(np.eye(3)[j - 1], -xi)
+    return rotation_about_axis(_I3[j - 1], -xi)
 
 
 def transition_unitary(levels, axis: str, xi: float) -> Unitary3:
@@ -177,14 +181,19 @@ def majorana_rotation_check(psi: Ket3, j: int, xi: float) -> float:
     """Pair distance between points(u_sigma(j,xi) psi) and the rigidly
     rotated points r_so3(j, ROTATION_SIGN*xi) applied to points(psi).
 
+    Raises ValueError for an axis index outside 1..3 or a non-finite
+    angle xi. Past that check the rotated ket is the one value validated
+    (as a Ket3); both point pairs are compared as Cartesian arrays.
+
     Contract: <= 1e-8 for every normalized state and angle, except for
     states whose two points are about 8e-8 to 3e-7 rad apart. There the
     double-root snap of the point map may merge the pair on one side and
     not on the other, and the residual stays <= 1e-7.
     """
-    from .majorana import state_to_points, rotate_pair, pair_distance
-
-    rotated_state = u_sigma(j, xi).apply(psi)
-    direct = state_to_points(rotated_state)
-    rigid = rotate_pair(r_so3(j, ROTATION_SIGN * xi), state_to_points(psi))
-    return pair_distance(direct, rigid)
+    if not 1 <= j <= 3:
+        raise ValueError(f"axis index must be in 1..3, got {j}")
+    if not math.isfinite(xi):
+        raise ValueError(f"rotation angle must be finite, got {xi}")
+    direct = state_to_points(Ket3(_u_sigma_mat(j, xi) @ psi.vec)).cartesian()
+    rigid = state_to_points(psi).cartesian() @ r_so3(j, ROTATION_SIGN * xi).T
+    return _pair_arc(direct, rigid)

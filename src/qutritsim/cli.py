@@ -257,12 +257,11 @@ def cmd_trajectory(args) -> int:
     psi = parse_state_spec(_join_spec(args.spec), args.degrees, args.seed)
     rng_range = _angle(args.range, args.degrees)
     try:
-        samples = sample_trajectory(args.generator, psi, args.steps, rng_range)
+        thetas, points, m = sample_trajectory(args.generator, psi, args.steps, rng_range)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.csv:
-        theta, p1, p2, m = zip(*samples)
-        table = np.column_stack((theta, p1, p2, m))
+        table = np.column_stack((thetas, points.reshape(-1, 6), m))
         # %-formatting and format() share one float-to-string routine, so
         # this matches a per-value f"{x:.{prec}g}" byte for byte
         row = ",".join([f"%.{_precision()}g"] * table.shape[1])
@@ -275,13 +274,8 @@ def cmd_trajectory(args) -> int:
                 "steps": args.steps,
                 "range": rng_range,
                 "samples": [
-                    {
-                        "theta": theta,
-                        "p1": list(p1),
-                        "p2": list(p2),
-                        "m": list(m),
-                    }
-                    for theta, p1, p2, m in samples
+                    {"theta": theta, "p1": p1, "p2": p2, "m": mv}
+                    for theta, (p1, p2), mv in zip(thetas.tolist(), points.tolist(), m.tolist())
                 ],
             }
         )

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA, rotation_about_axis, u_sigma
-from .core import ATOL, DEGENERACY_EPS, Ket3, phase_invariant_distance
+from .algebra import SIGMA, _u_sigma_mat, rotation_about_axis
+from .core import ATOL, DEGENERACY_EPS, Ket3
 from .majorana import SpherePointPair, state_to_points
 
 
@@ -67,17 +67,28 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class DecompositionAngles:
-    """Rotation angles (beta about y, gamma about z, delta about x)."""
+    """Rotation angles (beta about y, gamma about z, delta about x).
+
+    Raises ValueError at construction if an angle is not finite, so
+    ``unitary()`` is a product of closed-form rotations that is unitary
+    by construction and is returned unchecked.
+    """
 
     beta: float
     gamma: float
     delta: float
 
+    def __post_init__(self):
+        for name in ("beta", "gamma", "delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
     def unitary(self) -> np.ndarray:
         return (
-            u_sigma(1, self.delta).mat
-            @ u_sigma(3, self.gamma).mat
-            @ u_sigma(2, self.beta).mat
+            _u_sigma_mat(1, self.delta)
+            @ _u_sigma_mat(3, self.gamma)
+            @ _u_sigma_mat(2, self.beta)
         )
 
 
@@ -99,9 +110,10 @@ def canonical_state(alpha: float) -> Ket3:
 
 def magnetization(psi: Ket3) -> MagnetizationReport:
     """Expectation values of the three spin operators, plus geometry."""
-    m = np.array(
-        [float(np.vdot(psi.vec, s @ psi.vec).real) for s in SIGMA]
-    )
+    c_plus, c_zero, c_minus = psi.vec.tolist()
+    # <S1> + i<S2> = <S1 + i S2>, and S1 + i S2 = sqrt(2) (|+1><0| + |0><-1|)
+    s_plus = math.sqrt(2.0) * (c_plus.conjugate() * c_zero + c_zero.conjugate() * c_minus)
+    m = np.array([s_plus.real, s_plus.imag, abs(c_plus) ** 2 - abs(c_minus) ** 2])
     m.setflags(write=False)
     magnitude = float(np.linalg.norm(m))
     pts = state_to_points(psi).cartesian()
@@ -120,7 +132,9 @@ def _minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Requires u.v >= 0 (both callers pick the target on u's side), so
     parallel vectors are equal and need no turn.
     """
-    cross = np.cross(u, v)
+    u0, u1, u2 = u.tolist()
+    v0, v1, v2 = v.tolist()
+    cross = np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
     s = float(np.linalg.norm(cross))
     if s < DEGENERACY_EPS:
         return np.eye(3)
@@ -194,10 +208,12 @@ def canonical_decompose(psi: Ket3):
     candidates = []
     for a, b, c in _factor_xzy(rot):
         angles = DecompositionAngles(beta=-c, gamma=-b, delta=-a)
-        out = Ket3(angles.unitary() @ psi.vec)
-        s3 = float(np.vdot(out.vec, SIGMA[2] @ out.vec).real)
+        out = angles.unitary() @ psi.vec
+        s3 = float(np.vdot(out, SIGMA[2] @ out).real)
         alpha = 0.5 * math.acos(max(-1.0, min(1.0, -s3)))
-        residual = phase_invariant_distance(out, canonical_state(alpha))
+        # phase_invariant_distance(out, canonical_state(alpha)) on raw arrays
+        canonical = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+        residual = float(1.0 - abs(np.vdot(out, canonical)))
         key = (abs(angles.beta), abs(angles.gamma), abs(angles.delta))
         candidates.append((residual, key, alpha, angles))
     candidates.sort(key=lambda item: (round(item[0], 10), item[1]))

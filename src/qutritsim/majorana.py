@@ -73,11 +73,12 @@ class SpherePoint:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
-    def cartesian(self) -> np.ndarray:
+    def _xyz(self) -> tuple:
         st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
+
+    def cartesian(self) -> np.ndarray:
+        return np.array(self._xyz())
 
     @staticmethod
     def from_cartesian(v) -> "SpherePoint":
@@ -98,7 +99,7 @@ class SpherePointPair:
     p2: SpherePoint
 
     def cartesian(self) -> np.ndarray:
-        return np.stack([self.p1.cartesian(), self.p2.cartesian()])
+        return np.array([self.p1._xyz(), self.p2._xyz()])
 
 
 def arc_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -118,10 +119,15 @@ def great_circle_distance(a: SpherePoint, b: SpherePoint) -> float:
     return float(arc_angle(a.cartesian(), b.cartesian()))
 
 
+def _pair_arc(a: np.ndarray, b: np.ndarray) -> float:
+    """pair_distance of two pairs given as 2x3 arrays of unit vectors."""
+    arc = arc_angle(a[:, None], b[None])
+    return float(min(max(arc[0, 0], arc[1, 1]), max(arc[0, 1], arc[1, 0])))
+
+
 def pair_distance(a: SpherePointPair, b: SpherePointPair) -> float:
     """Distance between unordered pairs: best matching, worst point."""
-    arc = arc_angle(a.cartesian()[:, None], b.cartesian()[None])
-    return float(min(max(arc[0, 0], arc[1, 1]), max(arc[0, 1], arc[1, 0])))
+    return _pair_arc(a.cartesian(), b.cartesian())
 
 
 def rotate_pair(rot: np.ndarray, pair: SpherePointPair) -> SpherePointPair:

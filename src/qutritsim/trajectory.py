@@ -98,12 +98,13 @@ def order_continuously(points: np.ndarray, thetas: np.ndarray, bound: float) -> 
     return np.where(parity[:, None, None] == 1, points[:, ::-1], points)
 
 
-def sample_trajectory(generator: str, psi: Ket3, steps: int, rng_range: float) -> list:
+def sample_trajectory(generator: str, psi: Ket3, steps: int, rng_range: float) -> tuple:
     """Point-pair and magnetization samples with continuous pair tracking.
 
-    Returns `steps` rows (theta, p1, p2, m): the sample angle, the two
-    Majorana points as Cartesian unit vectors in continuous order, and
-    the magnetization vector. Raises ValueError for fewer than 2 steps,
+    Returns arrays (thetas, points, m) of shapes (steps,), (steps, 2, 3)
+    and (steps, 3): the sample angles, the two Majorana points of each
+    sample as Cartesian unit vectors in continuous order, and the
+    magnetization vectors. Raises ValueError for fewer than 2 steps,
     an unknown generator or a non-finite range, and ContractViolation on
     a continuity break.
     """
@@ -120,4 +121,4 @@ def sample_trajectory(generator: str, psi: Ket3, steps: int, rng_range: float) -
         raise ValueError(f"evolved states are not normalized (error {err:.3e})")
     points = order_continuously(kets_to_points(kets), thetas, jump_bound(rng_range / steps))
     m = np.einsum("ni,jik,nk->nj", kets.conj(), _SIGMA, kets).real
-    return list(zip(thetas.tolist(), points[:, 0], points[:, 1], m))
+    return thetas, points, m

@@ -218,27 +218,26 @@ def test_criterion_11_lambda_trajectories():
     steps = 100
     plus = parse_state_spec("+1")
 
-    samples = sample_trajectory("lambda2", plus, steps, 2 * math.pi)
+    _, points, _ = sample_trajectory("lambda2", plus, steps, 2 * math.pi)
     north = np.array([0.0, 0.0, 1.0])
     stationary = [
-        all(np.linalg.norm(row[i] - north) <= 1e-9 for row in samples)
-        for i in (1, 2)
+        all(np.linalg.norm(p - north) <= 1e-9 for p in points[:, i])
+        for i in (0, 1)
     ]
     assert any(stationary)
-    moving = 1 if stationary[1] else 2
-    for row in samples:
-        assert abs(row[moving][1]) <= 1e-9  # confined to the x-z great circle
+    moving = 0 if stationary[1] else 1
+    for p in points[:, moving]:
+        assert abs(p[1]) <= 1e-9  # confined to the x-z great circle
 
-    samples5 = sample_trajectory("lambda5", plus, steps, 2 * math.pi)
-    at_pi = samples5[steps // 2]
-    assert at_pi[0] == pytest.approx(math.pi, abs=1e-15)
+    thetas5, points5, _ = sample_trajectory("lambda5", plus, steps, 2 * math.pi)
+    assert thetas5[steps // 2] == pytest.approx(math.pi, abs=1e-15)
     south = np.array([0.0, 0.0, -1.0])
-    assert np.linalg.norm(at_pi[1] - south) <= 1e-8
-    assert np.linalg.norm(at_pi[2] - south) <= 1e-8
+    assert np.linalg.norm(points5[steps // 2, 0] - south) <= 1e-8
+    assert np.linalg.norm(points5[steps // 2, 1] - south) <= 1e-8
 
     equatorial = parse_state_spec(f"{1 / math.sqrt(2)},0 0,0 {1 / math.sqrt(2)},0")
-    samples3 = sample_trajectory("lambda3", equatorial, steps, 2 * math.pi)
-    for row in samples3:
-        assert abs(row[1][2]) <= 1e-9
-        assert abs(row[2][2]) <= 1e-9
+    _, points3, _ = sample_trajectory("lambda3", equatorial, steps, 2 * math.pi)
+    for p1, p2 in points3:
+        assert abs(p1[2]) <= 1e-9
+        assert abs(p2[2]) <= 1e-9
     _report(11, "lambda2 pins one point; lambda5 meets the south pole at pi; lambda3 stays equatorial")

@@ -273,6 +273,21 @@ def test_rigidity_zero_angle(rng):
     assert majorana_rotation_check(random_ket(rng), 2, 0.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "j, xi, message",
+    [
+        (1, math.nan, "angle must be finite"),
+        (2, math.inf, "angle must be finite"),
+        (3, -math.inf, "angle must be finite"),
+        (0, 0.5, "axis index"),
+        (4, 0.5, "axis index"),
+    ],
+)
+def test_rigidity_check_rejects_bad_axis_and_angle(rng, j, xi, message):
+    with pytest.raises(ValueError, match=message):
+        majorana_rotation_check(random_ket(rng), j, xi)
+
+
 def test_lambda2_moves_one_point():
     # from |+1>, exp(i theta L2 / 2) pins one point to the north pole and
     # drags the other around the x-z great circle

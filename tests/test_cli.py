@@ -210,8 +210,8 @@ def test_gate_output_chains_into_tomo(capsys):
 
 
 def test_trajectory_sigma_keeps_magnitude():
-    samples = sample_trajectory("sigma3", parse_state_spec("canon:alpha=0.5"), 40, 2 * math.pi)
-    mags = [float(np.linalg.norm(m)) for _, _, _, m in samples]
+    _, _, m = sample_trajectory("sigma3", parse_state_spec("canon:alpha=0.5"), 40, 2 * math.pi)
+    mags = [float(np.linalg.norm(row)) for row in m]
     assert max(mags) - min(mags) < 1e-9
 
 
@@ -284,6 +284,12 @@ def _assert_one_line_error(code, out, err):
     assert code == 1
     assert out == ""
     assert err.startswith("qutritsim: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["state", "decompose"])
+@pytest.mark.parametrize("spec", ["inf,0 0,0 0,0", "1,0 nan,0 0,0", "canon:alpha=nan"])
+def test_decomposition_non_finite_state_is_one_line_error(capsys, command, spec):
+    _assert_one_line_error(*run_cli(capsys, command, spec))
 
 
 @pytest.mark.parametrize("spec", ["points:1,nan,1,0", "points:1,inf,1,0", "points:0,nan,1,0"])
@@ -402,8 +408,8 @@ TRAJECTORY_GENERATORS = [f"lambda{i}" for i in range(1, 9)] + [f"sigma{j}" for j
 def _per_value_csv(generator, spec, prec):
     """Reference: the trajectory CSV formatted one value and one line at a time."""
     lines = [TRAJECTORY_CSV_HEADER]
-    samples = sample_trajectory(generator, parse_state_spec(spec), 100, 2 * math.pi)
-    for theta, p1, p2, m in samples:
+    thetas, points, ms = sample_trajectory(generator, parse_state_spec(spec), 100, 2 * math.pi)
+    for theta, (p1, p2), m in zip(thetas, points, ms):
         lines.append(",".join(f"{x:.{prec}g}" for x in (theta, *p1, *p2, *m)))
     return "\n".join(lines) + "\n"
 

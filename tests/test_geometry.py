@@ -1,13 +1,16 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qutritsim.algebra import SIGMA, u_lambda, u_sigma
-from qutritsim.core import Ket3, phase_invariant_distance, random_ket
+from qutritsim.algebra import SIGMA, majorana_rotation_check, u_lambda, u_sigma
+from qutritsim.core import Ket3, Unitary3, phase_invariant_distance, random_ket
 from qutritsim.gates import chrestenson
 from qutritsim.geometry import (
     CanonicalForm,
+    DecompositionAngles,
     canonical_decompose,
     canonical_state,
     magnetization,
@@ -171,3 +174,59 @@ def test_decompose_coincident_and_antipodal_edges(degenerate_pairs, near_coincid
         alpha, angles = canonical_decompose(psi)
         rebuilt = Ket3(angles.unitary() @ psi.vec)
         assert phase_invariant_distance(rebuilt, canonical_state(alpha)) <= 1e-8
+
+
+# Expected angles from the implementation that checked every intermediate
+# (a Unitary3 per rotation, a Ket3 per candidate); later refactors must
+# reproduce them to 1e-12.
+DECOMPOSE_GOLDEN = Path(__file__).parent / "golden" / "decompose_angles.json"
+
+
+def test_decompose_angles_match_golden():
+    # Haar, spin-coherent, antipodal, basis and canonical kets, and pairs
+    # whose chord runs along x over the z axis: there the point rotation
+    # is a quarter turn about z and the x-z-y factorization sits at (or,
+    # with the azimuths offset, next to) its gimbal lock |sin b| = 1
+    cases = json.loads(DECOMPOSE_GOLDEN.read_text())
+    kinds = {case["kind"] for case in cases}
+    assert kinds == {"haar", "coherent", "antipodal", "basis", "canonical", "gimbal"}
+    for case in cases:
+        psi = Ket3([complex(re, im) for re, im in case["amps"]])
+        alpha, angles = canonical_decompose(psi)
+        got = (alpha, angles.beta, angles.gamma, angles.delta)
+        want = tuple(case[key] for key in ("alpha", "beta", "gamma", "delta"))
+        assert got == pytest.approx(want, rel=0, abs=1e-12), case
+        for j, xi in zip((1, 2, 3), case["xi"]):
+            assert majorana_rotation_check(psi, j, xi) <= 1e-8, case
+
+
+@pytest.mark.parametrize("field", ["beta", "gamma", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_decomposition_angles_reject_non_finite(field, value):
+    angles = {"beta": 0.1, "gamma": 0.2, "delta": 0.3, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DecompositionAngles(**angles)
+
+
+def test_rotation_path_builds_no_checked_unitary(monkeypatch, rng):
+    # the matrices of the rotation and decomposition path are unitary by
+    # construction; only kets are validated on it
+    built = []
+    check = Unitary3.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Unitary3, "__post_init__", counting_check)
+    for psi in (random_ket(rng), Ket3([0, 1, 0]), canonical_state(0.4)):
+        points_to_state(state_to_points(psi))
+        magnetization(psi)
+        alpha, angles = canonical_decompose(psi)
+        rebuilt = Ket3(angles.unitary() @ psi.vec)
+        assert phase_invariant_distance(rebuilt, canonical_state(alpha)) <= 1e-8
+        for j in (1, 2, 3):
+            assert majorana_rotation_check(psi, j, 0.7 * j) <= 1e-8
+    assert built == []
+    u_sigma(1, 0.3)  # the counter sees a checked construction
+    assert len(built) == 1

@@ -58,16 +58,15 @@ def test_batched_matches_scalar_reference(generator):
     for name, psi in start_states().items():
         reference = scalar_samples(generator, psi)
         for steps in STEP_COUNTS:
-            samples = sample_trajectory(generator, psi, steps, TWO_PI)
+            got_thetas, got, got_m = sample_trajectory(generator, psi, steps, TWO_PI)
             # k/steps and (k*FINEST/steps)/FINEST round the same rational
             ref = reference[:: FINEST // steps]
             thetas = [TWO_PI * (k / steps) for k in range(steps)]
-            assert [row[0] for row in samples] == thetas == [row[0] for row in ref]
-            got = np.array([[p1, p2] for _, p1, p2, _ in samples])
+            assert got_thetas.tolist() == thetas == [row[0] for row in ref]
             want = np.array([pts for _, pts, _ in ref])
             direct = np.abs(got - want).max(axis=(1, 2))
             swapped = np.abs(got - want[:, ::-1]).max(axis=(1, 2))
-            m_err = np.abs(np.array([m for *_, m in samples]) - [m for *_, m in ref]).max()
+            m_err = np.abs(got_m - [m for *_, m in ref]).max()
             tol = 1e-12 if steps <= 200 else 1e-11
             assert np.minimum(direct, swapped).max() <= tol, (name, steps)
             assert m_err <= tol, (name, steps)
