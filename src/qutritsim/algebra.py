@@ -100,20 +100,24 @@ def transition_op(levels, axis: str) -> np.ndarray:
     return _TRANSITION_TABLE[_transition_key(levels, axis)]
 
 
-def _expm_i_eigh(theta: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(i*theta*H) from the eigendecomposition H = v diag(w) v^dag."""
-    return (v * np.exp(1j * theta * w)) @ v.conj().T
+def _expm_i_eigh(theta: float, w: np.ndarray, v: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """exp(i*theta*H) from the eigendecomposition H = v diag(w) vh, vh = v^dag."""
+    return (v * np.exp(1j * theta * w)) @ vh
 
 
 def _eigh(herm: np.ndarray) -> tuple:
     w, v = np.linalg.eigh(herm)
     w.setflags(write=False)
-    return w, Unitary3(v)
+    basis = Unitary3(v)
+    vh = basis.mat.conj().T
+    vh.setflags(write=False)
+    return w, basis, vh
 
 
-# (eigenvalues, validated eigenbasis) of each Gell-Mann generator and of
-# each transition operator, computed once; u_lambda, transition_unitary,
-# trajectory sampling and pulse events read these instead of calling eigh.
+# (eigenvalues, validated eigenbasis, its conjugate transpose) of each
+# Gell-Mann generator and of each transition operator, computed once;
+# u_lambda, transition_unitary, trajectory sampling and pulse events read
+# these instead of calling eigh.
 GELL_MANN_EIGH = tuple(_eigh(h) for h in GELL_MANN)
 _TRANSITION_EIGH = {key: _eigh(op) for key, op in _TRANSITION_TABLE.items()}
 
@@ -124,8 +128,8 @@ def u_lambda(i: int, theta: float) -> Unitary3:
     """exp(i*theta*L_i) for the i-th Gell-Mann generator, i in 1..8."""
     if not 1 <= i <= 8:
         raise ValueError(f"Gell-Mann index must be in 1..8, got {i}")
-    w, basis = GELL_MANN_EIGH[i - 1]
-    return Unitary3(_expm_i_eigh(theta, w, basis.mat))
+    w, basis, vh = GELL_MANN_EIGH[i - 1]
+    return Unitary3(_expm_i_eigh(theta, w, basis.mat, vh))
 
 
 def u_sigma(j: int, xi: float) -> Unitary3:
@@ -173,8 +177,8 @@ def transition_unitary(levels, axis: str, xi: float) -> Unitary3:
 
 def _transition_mat(levels: tuple, axis: str, xi: float) -> np.ndarray:
     """Unchecked exp(i*xi*I_axis^levels); unitary for every finite xi."""
-    w, basis = _TRANSITION_EIGH[(levels, axis)]
-    return _expm_i_eigh(xi, w, basis.mat)
+    w, basis, vh = _TRANSITION_EIGH[(levels, axis)]
+    return _expm_i_eigh(xi, w, basis.mat, vh)
 
 
 def majorana_rotation_check(psi: Ket3, j: int, xi: float) -> float:

@@ -10,6 +10,7 @@ pure function, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,13 @@ class DensityMatrix3:
         object.__setattr__(self, "mat", mat)
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if np.abs(mat - mat.conj().T).max() > ATOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
-            raise ValueError(f"density matrix trace is {np.trace(mat):.6e}, expected 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
+        trace = mat.trace()
+        if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
+            raise ValueError(f"density matrix trace is {trace:.6e}, expected 1")
+        # eigvalsh returns the eigenvalues in ascending order
+        if np.linalg.eigvalsh(mat)[0] < -ATOL:
             raise ValueError("density matrix has negative eigenvalues")
 
     def purity(self) -> float:
@@ -135,9 +138,10 @@ def fidelity(rho: DensityMatrix3, rho_e: DensityMatrix3) -> float:
     proportional, which for pure states means identical states.
     """
     a, b = rho.mat, rho_e.mat
-    overlap = np.trace(a.conj().T @ b).real
-    na = np.sqrt(np.trace(a.conj().T @ a).real)
-    nb = np.sqrt(np.trace(b.conj().T @ b).real)
+    # Tr(A^dag B) is the conjugated elementwise sum np.vdot(A, B)
+    overlap = np.vdot(a, b).real
+    na = math.sqrt(np.vdot(a, a).real)
+    nb = math.sqrt(np.vdot(b, b).real)
     return float(overlap / (na * nb))
 
 

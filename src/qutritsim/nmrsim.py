@@ -35,10 +35,11 @@ levels, axis and angles (finite) when it is constructed, so every event
 matrix is unitary by construction: the transition exponential comes from
 an eigenbasis computed and checked once at import, the non-selective
 pulse from the closed form I + (cos xi - 1) S^2 + i sin xi S, and the
-z-cascade is a unit-modulus diagonal. ``run_sequence`` then conjugates
-the raw 3x3 array through every event and checks the density matrix once,
-at the exit of the sequence; ``sequence_unitary`` likewise checks the
-composite unitary once.
+z-cascade is a unit-modulus diagonal. ``run_sequence`` then works on the
+raw 3x3 array: it multiplies the events of each crush-free run into one
+unitary, conjugates the state once per run, and checks the density
+matrix once, at the exit of the sequence. ``sequence_unitary`` forms the
+same product and checks the composite unitary once.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .algebra import _transition_mat, _u_sigma_mat
+from .algebra import _I3, _transition_mat, _u_sigma_mat
 from .core import DensityMatrix3, Unitary3
 
 _SQRT3 = math.sqrt(3.0)
@@ -205,26 +207,42 @@ def apply_event(rho: DensityMatrix3, ev: PulseEvent) -> DensityMatrix3:
     return run_sequence(PulseSequence((ev,)), rho)
 
 
+def _compose(events) -> np.ndarray:
+    """Product of the unitaries of a non-empty run of events, first event
+    rightmost; unchecked."""
+    events = iter(events)
+    mat = event_unitary(next(events))
+    for ev in events:
+        mat = event_unitary(ev) @ mat
+    return mat
+
+
+def _is_crush(ev: PulseEvent) -> bool:
+    return isinstance(ev, Crush)
+
+
 def run_sequence(seq: PulseSequence, initial: DensityMatrix3) -> DensityMatrix3:
-    """Apply every event in order; the result is checked once, at the end."""
+    """Apply every event in order; the result is checked once, at the end.
+
+    Each crush-free run of events is multiplied into one unitary and the
+    state is conjugated once per run. A crush is idempotent, so a run of
+    consecutive crushes dephases once.
+    """
     if not seq.events:
         return initial
     mat = initial.mat
-    for ev in seq.events:
-        if isinstance(ev, Crush):
+    for crush, run in groupby(seq.events, _is_crush):
+        if crush:
             mat = np.diag(np.diag(mat))
         else:
-            u = event_unitary(ev)
+            u = _compose(run)
             mat = u @ mat @ u.conj().T
     return DensityMatrix3(mat)
 
 
 def sequence_unitary(seq: PulseSequence) -> Unitary3:
     """Composite unitary of a crush-free sequence (first event rightmost)."""
-    mat = np.eye(3, dtype=complex)
-    for ev in seq.events:
-        mat = event_unitary(ev) @ mat
-    return Unitary3(mat)
+    return Unitary3(_compose(seq.events) if seq.events else _I3)
 
 
 def verify_sequence(seq: PulseSequence, target: Unitary3) -> float:

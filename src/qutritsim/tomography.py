@@ -13,7 +13,7 @@ c_i are recovered from the two observable lines of four experiments:
 The inversion below is this linear system solved once; the round-trip
 property reconstruct(run_tomo_experiments(rho)) == rho holds to float
 precision. Components measured twice (and the lines forced to vanish)
-are cross-checked and a disagreement beyond 1e-6 raises
+are cross-checked and a disagreement beyond 1e-6, or a NaN, raises
 InconsistentReadoutsError. The pulse of experiment 2 equals the
 Gell-Mann exponential u_lambda(1, 3 pi/2) exactly: the transition-pulse
 angle is half the generator angle, and -pi/2 and 3 pi/2 coincide on the
@@ -46,6 +46,12 @@ class InconsistentReadoutsError(ValueError):
     """Redundant tomography readouts disagree beyond tolerance."""
 
 
+# rho = I/3 + c @ _HALF_GELL_MANN, each 3x3 flattened to 9 entries.
+_THIRD_I = (np.eye(3) / 3.0).reshape(9)
+_THIRD_I.setflags(write=False)
+_HALF_GELL_MANN = 0.5 * np.stack(GELL_MANN).reshape(8, 9)
+_HALF_GELL_MANN.setflags(write=False)
+
 _EXPERIMENT_SEQUENCES = {
     1: PulseSequence(()),
     2: PulseSequence((TransitionPulse((1, 2), "x", -math.pi),)),
@@ -70,24 +76,28 @@ class TomoCoefficients:
     c: tuple
 
     def __post_init__(self):
-        c = tuple(float(x) for x in self.c)
+        c = tuple(map(float, self.c))
         if len(c) != 8:
             raise ValueError("expected eight coefficients")
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"Gell-Mann coefficients must be finite, got {c}")
         object.__setattr__(self, "c", c)
 
     def matrix(self) -> np.ndarray:
         """I/3 + (1/2) sum c_i L_i; Hermitian with unit trace by construction."""
-        mat = np.eye(3, dtype=complex) / 3.0
-        for coeff, gen in zip(self.c, GELL_MANN):
-            mat += 0.5 * coeff * gen
-        return mat
+        return (_THIRD_I + np.array(self.c) @ _HALF_GELL_MANN).reshape(3, 3)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue; reported, not enforced."""
-        return float(np.min(np.linalg.eigvalsh(self.matrix())))
+        return _min_eigenvalue(self.matrix())
 
     def to_density_matrix(self) -> DensityMatrix3:
         return DensityMatrix3(self.matrix())
+
+
+def _min_eigenvalue(mat: np.ndarray) -> float:
+    # eigvalsh returns the eigenvalues in ascending order
+    return float(np.linalg.eigvalsh(mat)[0])
 
 
 def run_tomo_experiments(rho: DensityMatrix3) -> tuple:
@@ -108,8 +118,9 @@ def run_tomo_experiments(rho: DensityMatrix3) -> tuple:
 
 def reconstruct(results) -> TomoCoefficients:
     """Linear inversion of the four-experiment readouts."""
+    results = tuple(results)
     by_id = {r.experiment_id: r for r in results}
-    if sorted(by_id) != [1, 2, 3, 4]:
+    if len(results) != 4 or sorted(by_id) != [1, 2, 3, 4]:
         raise ValueError("need exactly the four experiments 1..4")
     r1, r2, r3, r4 = (by_id[i] for i in (1, 2, 3, 4))
 
@@ -128,7 +139,7 @@ def reconstruct(results) -> TomoCoefficients:
         ("experiment 4 line23 must be real", abs(r4.line23.imag)),
     )
     for what, err in checks:
-        if err > CONSISTENCY_TOL:
+        if not err <= CONSISTENCY_TOL:  # also refuses NaN
             raise InconsistentReadoutsError(f"{what}: off by {err:.3e}")
 
     return TomoCoefficients((c1, c2, c3, c4, c5, c6, c7, c8))
@@ -149,6 +160,6 @@ def tomo_report(rho: DensityMatrix3) -> dict:
         "rho_reconstructed": [
             [mat[r, s].real, mat[r, s].imag] for r in range(3) for s in range(3)
         ],
-        "min_eigenvalue": coeffs.min_eigenvalue(),
-        "fidelity": fidelity(rho, coeffs.to_density_matrix()),
+        "min_eigenvalue": _min_eigenvalue(mat),
+        "fidelity": fidelity(rho, DensityMatrix3(mat)),
     }

@@ -56,9 +56,8 @@ def _evolve(name: str, thetas: np.ndarray, vec: np.ndarray) -> np.ndarray:
             f"unknown generator {name!r}; expected lambda1..lambda8 or sigma1..sigma3"
         )
     if prefix == "lambda":
-        w, basis = GELL_MANN_EIGH[int(idx) - 1]
-        v = basis.mat
-        return (np.exp(1j * np.multiply.outer(0.5 * thetas, w)) * (v.conj().T @ vec)) @ v.T
+        w, basis, vh = GELL_MANN_EIGH[int(idx) - 1]
+        return (np.exp(1j * np.multiply.outer(0.5 * thetas, w)) * (vh @ vec)) @ basis.mat.T
     s = SIGMA[int(idx) - 1]
     return (
         vec

@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutritsim.core import (
+    ATOL,
     DensityMatrix3,
     Ket3,
     Unitary3,
@@ -15,6 +17,7 @@ from qutritsim.core import (
     fidelity,
     normalize,
     phase_invariant_distance,
+    random_density,
     random_ket,
     random_unitary,
 )
@@ -104,6 +107,84 @@ def test_normalize_rejects_non_finite(raw):
         normalize(raw)
 
 
+def _reference_density_check(mat):
+    """The density-matrix check written out in full: the message it raises, or None."""
+    mat = np.array(mat, dtype=complex).reshape(3, 3)
+    if not np.isfinite(mat).all():
+        return "density matrix has non-finite entries"
+    if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        return "density matrix is not Hermitian"
+    if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
+        return f"density matrix trace is {np.trace(mat):.6e}, expected 1"
+    if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
+        return "density matrix has negative eigenvalues"
+    return None
+
+
+def _density_check(mat):
+    try:
+        DensityMatrix3(mat)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _boundary_matrices(rng):
+    """Matrices a factor 1 +- 1e-3 on either side of each ATOL decision."""
+    out = []
+    for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+        d = scale * ATOL
+        # Hermitian defect: one off-diagonal entry moved by d
+        for step in (d, 1j * d, d * cmath.exp(0.7j)):
+            mat = random_density(rng).mat.copy()
+            mat[0, 1] += step
+            out.append(mat)
+        # trace error: real part on one diagonal entry, imaginary part
+        # spread over three so the Hermitian defect stays 2d/3
+        for shift in (d, -d):
+            mat = random_density(rng).mat.copy()
+            mat[1, 1] += shift
+            out.append(mat)
+            mat = random_density(rng).mat.copy()
+            mat[np.diag_indices(3)] += 1j * shift / 3.0
+            out.append(mat)
+        # smallest eigenvalue at -d
+        u = random_unitary(rng).mat
+        out.append(u @ np.diag([-d, 0.5, 0.5 + d]) @ u.conj().T)
+        out.append(np.diag([-d, 0.25, 0.75 + d]).astype(complex))
+    return out
+
+
+def test_density_check_matches_reference_decisions(rng):
+    cases = _boundary_matrices(rng)
+    for _ in range(300):
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        herm = z + z.conj().T
+        cases += [z, herm / np.trace(herm).real, random_density(rng).mat]
+        w = rng.uniform(-0.2, 1.0, 2)
+        u = random_unitary(rng).mat
+        cases.append(u @ np.diag([w[0], w[1], 1.0 - w.sum()]) @ u.conj().T)
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf)):
+        for r, s in ((0, 0), (1, 2), (2, 1)):
+            mat = random_density(rng).mat.copy()
+            mat[r, s] = bad
+            cases.append(mat)
+    kinds = ("non-finite", "Hermitian", "trace", "negative")
+    seen = set()
+    for mat in cases:
+        want = _reference_density_check(mat)
+        assert _density_check(mat) == want, mat
+        seen.add(want and next(kind for kind in kinds if kind in want))
+    assert seen == {None, *kinds}
+
+
+def test_density_check_boundaries_fall_on_both_sides(rng):
+    outcomes = [_density_check(mat) for mat in _boundary_matrices(rng)]
+    half = len(outcomes) // 2
+    assert all(msg is None for msg in outcomes[:half])
+    assert all(msg is not None for msg in outcomes[half:])
+
+
 @pytest.mark.filterwarnings("error")
 def test_normalize_scales_amplitudes_near_float_max():
     psi = normalize([complex(1.5e308, 1.5e308), 1.5e308, 0])
@@ -142,6 +223,24 @@ def test_fidelity_symmetric_and_unitary_invariant(rng):
         assert fidelity(u.conjugate(a), u.conjugate(b)) == pytest.approx(
             fidelity(a, b), abs=1e-9
         )
+
+
+def _trace_form_fidelity(a, b):
+    """Tr(a^dag b) / sqrt(Tr(a^dag a) Tr(b^dag b)) with explicit products."""
+    overlap = np.trace(a.conj().T @ b).real
+    return overlap / math.sqrt(np.trace(a.conj().T @ a).real * np.trace(b.conj().T @ b).real)
+
+
+def test_fidelity_matches_trace_form(rng):
+    for _ in range(300):
+        a = random_density(rng) if rng.random() < 0.5 else dm_from_ket(random_ket(rng))
+        b = random_density(rng) if rng.random() < 0.5 else dm_from_ket(random_ket(rng))
+        assert abs(fidelity(a, b) - _trace_form_fidelity(a.mat, b.mat)) <= 1e-15
+        # fidelity only reads .mat; it is scale-invariant in either argument
+        sa, sb = rng.uniform(1e-3, 1e3, 2)
+        scaled = fidelity(SimpleNamespace(mat=sa * a.mat), SimpleNamespace(mat=sb * b.mat))
+        assert abs(scaled - _trace_form_fidelity(sa * a.mat, sb * b.mat)) <= 1e-15
+        assert abs(scaled - fidelity(a, b)) <= 1e-15
 
 
 def test_phase_distance_global_phase():

@@ -244,6 +244,37 @@ def test_run_sequence_matches_stepwise_reference(rng):
     assert kinds == {TransitionPulse, NonselectivePulse, ZCascade, Crush}
 
 
+_TR = TransitionPulse((1, 2), "x", 0.83)
+_TR23 = TransitionPulse((2, 3), "y", -2.1)
+_NS = NonselectivePulse("y", 1.27)
+_ZC = ZCascade((0.4, -1.9, 2.6))
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        (Crush(), _TR, _NS, _ZC),
+        (_TR, _NS, _ZC, Crush()),
+        (_TR, Crush(), Crush(), _NS),
+        (_TR, _TR23, Crush(), Crush(), Crush(), _ZC, _NS, Crush(), _TR),
+        (Crush(),),
+        (Crush(), Crush(), Crush()),
+        (_TR,),
+        (_TR23,),
+        (_NS,),
+        (_ZC,),
+    ],
+)
+def test_run_sequence_crush_placements_match_stepwise_reference(rng, events):
+    for _ in range(20):
+        rho = random_density(rng)
+        expected = rho
+        for ev in events:
+            expected = _reference_step(expected, ev)
+        got = run_sequence(PulseSequence(events), rho)
+        assert np.max(np.abs(got.mat - expected.mat)) <= 1e-13
+
+
 def test_run_sequence_checks_the_state_once(rng, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh

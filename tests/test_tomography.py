@@ -146,6 +146,47 @@ def test_inconsistent_readouts_rejected(rng):
         reconstruct(results)
 
 
+def test_nan_readouts_rejected(rng):
+    results = list(run_tomo_experiments(random_density(rng)))
+    r3, r4 = results[2], results[3]
+    for index, bad in (
+        (2, TomoExperimentResult(3, r3.line12, complex(math.nan, 0.0))),
+        (3, TomoExperimentResult(4, complex(math.nan, math.nan), r4.line23)),
+        (1, TomoExperimentResult(2, complex(math.nan, 0.0), results[1].line23)),
+    ):
+        readouts = list(results)
+        readouts[index] = bad
+        with pytest.raises(InconsistentReadoutsError):
+            reconstruct(readouts)
+
+
+def test_reconstruct_needs_four_distinct_experiments(rng):
+    results = run_tomo_experiments(random_density(rng))
+    for readouts in (results + results[3:], results[:3], results[:3] + results[2:3]):
+        with pytest.raises(ValueError, match="exactly the four experiments"):
+            reconstruct(readouts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coefficients_refuse_non_finite(bad):
+    with pytest.raises(ValueError, match="finite") as info:
+        TomoCoefficients((0.1,) * 7 + (bad,))
+    assert "\n" not in str(info.value)
+
+
+def test_report_builds_the_matrix_once(rng, monkeypatch):
+    calls = []
+    matrix = TomoCoefficients.matrix
+
+    def counted(self):
+        calls.append(self)
+        return matrix(self)
+
+    monkeypatch.setattr(TomoCoefficients, "matrix", counted)
+    tomo_report(random_density(rng))
+    assert len(calls) == 1
+
+
 def test_pseudopure_pipeline_fidelity():
     for target in (1, 2, 3):
         rho = prepare_pseudopure(target, ThermalParams(1e-4))
@@ -165,10 +206,16 @@ def test_chrestenson_state_through_pipeline():
     assert tomo_fidelity(rho, run_tomo_experiments(rho)) >= 0.999
 
 
-def test_coefficients_materialization():
+def test_coefficients_materialization(rng):
     coeffs = TomoCoefficients((0.0,) * 8)
     assert np.max(np.abs(coeffs.matrix() - np.eye(3) / 3)) < 1e-15
     assert coeffs.min_eigenvalue() == pytest.approx(1 / 3, abs=1e-12)
+    for _ in range(100):
+        coeffs = TomoCoefficients(rng.uniform(-1.0, 1.0, 8))
+        expected = np.eye(3, dtype=complex) / 3.0
+        for coeff, gen in zip(coeffs.c, GELL_MANN):
+            expected += 0.5 * coeff * gen
+        assert np.max(np.abs(coeffs.matrix() - expected)) <= 1e-15
 
 
 def test_report_shape(rng):
