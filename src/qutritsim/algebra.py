@@ -147,8 +147,8 @@ def _u_sigma_mat(j: int, xi: float) -> np.ndarray:
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Counterclockwise rotation by angle about a unit axis (Rodrigues)."""
-    k = np.asarray(axis, dtype=float)
-    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    x, y, z = np.asarray(axis, dtype=float).tolist()
+    kx = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return _I3 + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
 
 
@@ -187,7 +187,8 @@ def majorana_rotation_check(psi: Ket3, j: int, xi: float) -> float:
 
     Raises ValueError for an axis index outside 1..3 or a non-finite
     angle xi. Past that check the rotated ket is the one value validated
-    (as a Ket3); both point pairs are compared as Cartesian arrays.
+    (as a Ket3); both point pairs are compared as Cartesian float triples
+    by the scalar pair kernel ``_pair_arc``.
 
     Contract: <= 1e-8 for every normalized state and angle, except for
     states whose two points are about 8e-8 to 3e-7 rad apart. There the
@@ -198,6 +199,6 @@ def majorana_rotation_check(psi: Ket3, j: int, xi: float) -> float:
         raise ValueError(f"axis index must be in 1..3, got {j}")
     if not math.isfinite(xi):
         raise ValueError(f"rotation angle must be finite, got {xi}")
-    direct = state_to_points(Ket3(_u_sigma_mat(j, xi) @ psi.vec)).cartesian()
+    direct = state_to_points(Ket3(_u_sigma_mat(j, xi) @ psi.vec))._xyz()
     rigid = state_to_points(psi).cartesian() @ r_so3(j, ROTATION_SIGN * xi).T
-    return _pair_arc(direct, rigid)
+    return _pair_arc(direct, rigid.tolist())

@@ -18,8 +18,8 @@ violation (a failed --assert or a trajectory continuity break).
 
 ``main`` builds the argument parser once per process and reuses it for
 every call; ``build_parser`` still returns a fresh one. ``trajectory
---csv`` formats the whole sample table in one pass, with the same bytes
-as formatting each value on its own.
+--csv`` and ``table1 --csv`` format the whole table in one pass, with
+the same bytes as formatting each value on its own.
 """
 
 from __future__ import annotations
@@ -90,6 +90,16 @@ def _rounded(obj, prec: int):
 
 def _emit_json(data) -> None:
     print(json.dumps(_rounded(data, _precision()), indent=2))
+
+
+def _emit_csv(header: str, rows) -> None:
+    """Print a header and rows of floats in one pass.
+
+    %-formatting and format() share one float-to-string routine, so the
+    row template matches a per-value f"{x:.{prec}g}" byte for byte.
+    """
+    row = ",".join([f"%.{_precision()}g"] * (header.count(",") + 1))
+    print("\n".join([header, *(row % tuple(r) for r in rows)]))
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -262,11 +272,7 @@ def cmd_trajectory(args) -> int:
         raise UsageError(str(exc)) from None
     if args.csv:
         table = np.column_stack((thetas, points.reshape(-1, 6), m))
-        # %-formatting and format() share one float-to-string routine, so
-        # this matches a per-value f"{x:.{prec}g}" byte for byte
-        row = ",".join([f"%.{_precision()}g"] * table.shape[1])
-        rows = [row % tuple(r) for r in table.tolist()]
-        print("\n".join([TRAJECTORY_CSV_HEADER, *rows]))
+        _emit_csv(TRAJECTORY_CSV_HEADER, table.tolist())
     else:
         _emit_json(
             {
@@ -349,11 +355,8 @@ def cmd_verify(args) -> int:
 def cmd_table1(args) -> int:
     rows = phase_table()
     if args.csv:
-        prec = _precision()
         keys = list(rows[0])
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(f"{row[k]:.{prec}g}" for k in keys))
+        _emit_csv(",".join(keys), [[row[k] for k in keys] for row in rows])
     else:
         _emit_json({"rows": rows})
     return 0

@@ -31,6 +31,18 @@ class ContractViolation(RuntimeError):
     """A numerical contract failed; the CLI exits with code 2."""
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of one real or complex vector, as a Python float.
+
+    The same arithmetic as numpy's own fast path in np.linalg.norm (a dot
+    product per real component, then sqrt), without its Python wrapper.
+    """
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
 def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=complex).reshape(shape)
     arr.setflags(write=False)
@@ -49,21 +61,9 @@ class Ket3:
     def __post_init__(self):
         vec = _frozen_array(self.vec, (DIM,))
         object.__setattr__(self, "vec", vec)
-        norm = np.linalg.norm(vec)
+        norm = _norm(vec)
         if not abs(norm - 1.0) <= ATOL:  # also refuses NaN
             raise ValueError(f"state vector is not normalized (norm={norm:.3e})")
-
-    @property
-    def c_plus1(self) -> complex:
-        return complex(self.vec[0])
-
-    @property
-    def c_zero(self) -> complex:
-        return complex(self.vec[1])
-
-    @property
-    def c_minus1(self) -> complex:
-        return complex(self.vec[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +115,10 @@ def normalize(raw) -> Ket3:
     if not np.isfinite(vec).all():
         raise ValueError("state vector has non-finite amplitudes")
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vec)
-    if norm == np.inf:  # amplitudes near the float maximum: scale them down first
+        norm = _norm(vec)
+    if norm == math.inf:  # amplitudes near the float maximum: scale them down first
         vec = vec / np.max(np.abs(vec.view(float)))
-        norm = np.linalg.norm(vec)
+        norm = _norm(vec)
     if norm < DEGENERACY_EPS:
         raise ZeroVectorError("cannot normalize a (near-)zero vector")
     return Ket3(vec / norm)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SIGMA, _u_sigma_mat, rotation_about_axis
-from .core import ATOL, DEGENERACY_EPS, Ket3
+from .core import ATOL, DEGENERACY_EPS, Ket3, _norm
 from .majorana import SpherePointPair, state_to_points
 
 
@@ -115,9 +115,9 @@ def magnetization(psi: Ket3) -> MagnetizationReport:
     s_plus = math.sqrt(2.0) * (c_plus.conjugate() * c_zero + c_zero.conjugate() * c_minus)
     m = np.array([s_plus.real, s_plus.imag, abs(c_plus) ** 2 - abs(c_minus) ** 2])
     m.setflags(write=False)
-    magnitude = float(np.linalg.norm(m))
+    magnitude = _norm(m)
     pts = state_to_points(psi).cartesian()
-    bisector = float(np.linalg.norm(pts[0] + pts[1]) / 2.0)
+    bisector = _norm(pts[0] + pts[1]) / 2.0
     return MagnetizationReport(
         m_vector=m,
         magnitude=magnitude,
@@ -135,7 +135,7 @@ def _minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u0, u1, u2 = u.tolist()
     v0, v1, v2 = v.tolist()
     cross = np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
-    s = float(np.linalg.norm(cross))
+    s = _norm(cross)
     if s < DEGENERACY_EPS:
         return np.eye(3)
     return rotation_about_axis(cross / s, math.atan2(s, float(np.dot(u, v))))
@@ -145,7 +145,7 @@ def _pair_to_canonical_rotation(pair: SpherePointPair) -> np.ndarray:
     """Rotation sending the pair onto the x = 0 plane, symmetric about z."""
     p1, p2 = pair.cartesian()
     midpoint = 0.5 * (p1 + p2)
-    radius = np.linalg.norm(midpoint)
+    radius = _norm(midpoint)
     if radius <= 1e-8:
         # antipodal pair: carry its axis onto the y axis
         axis = p1
@@ -157,7 +157,7 @@ def _pair_to_canonical_rotation(pair: SpherePointPair) -> np.ndarray:
     r1 = _minimal_rotation(midpoint / radius, pole)
     q1 = r1 @ p1
     horiz = np.array([q1[0], q1[1], 0.0])
-    h = np.linalg.norm(horiz)
+    h = _norm(horiz)
     if h <= 1e-8:
         return r1  # coincident points already on the axis
     # The pair is unordered, so the chord may reach the y axis through

@@ -16,6 +16,14 @@ pole, which is how |0> gets one pole each and |-1> both points south.
 The inverse direction rebuilds the state from the elementary symmetric
 functions of the roots; its normalization constant is available in
 closed form and the result is symmetric under swapping the two points.
+
+Scalar and batched kernels: a call on one ket or one point pair
+(``state_to_points``, ``great_circle_distance``, ``pair_distance`` and
+the pair comparison ``_pair_arc`` of the rigidity check) reads its
+numbers out as Python floats once and computes on them with ``math``.
+Arrays are for batches: ``kets_to_points`` maps an (N, 3) array of
+kets and ``arc_angle`` broadcasts the same great-circle formula over
+arrays of vectors.
 """
 
 from __future__ import annotations
@@ -98,13 +106,27 @@ class SpherePointPair:
     p1: SpherePoint
     p2: SpherePoint
 
+    def _xyz(self) -> tuple:
+        return self.p1._xyz(), self.p2._xyz()
+
     def cartesian(self) -> np.ndarray:
-        return np.array([self.p1._xyz(), self.p2._xyz()])
+        return np.array(self._xyz())
+
+
+def _arc(u, v) -> float:
+    """arc_angle of two unit vectors given as float triples, on Python floats."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    c0 = u1 * v2 - u2 * v1
+    c1 = u2 * v0 - u0 * v2
+    c2 = u0 * v1 - u1 * v0
+    return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), u0 * v0 + u1 * v1 + u2 * v2)
 
 
 def arc_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Great-circle angle atan2(|u x v|, u.v) between unit vectors, over the
-    last axis and broadcasting the rest; stable near 0 and near pi."""
+    last axis and broadcasting the rest; stable near 0 and near pi. The
+    batch kernel: one pair of vectors goes through ``_arc`` instead."""
     # Cross and dot products written out on last-axis slices: np.cross
     # costs several times the arithmetic on the small arrays used here.
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
@@ -116,18 +138,25 @@ def arc_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def great_circle_distance(a: SpherePoint, b: SpherePoint) -> float:
-    return float(arc_angle(a.cartesian(), b.cartesian()))
+    return _arc(a._xyz(), b._xyz())
 
 
-def _pair_arc(a: np.ndarray, b: np.ndarray) -> float:
-    """pair_distance of two pairs given as 2x3 arrays of unit vectors."""
-    arc = arc_angle(a[:, None], b[None])
-    return float(min(max(arc[0, 0], arc[1, 1]), max(arc[0, 1], arc[1, 0])))
+def _pair_arc(a, b) -> float:
+    """pair_distance of two pairs, each given as two float triples (unit
+    vectors; a nested list from ``ndarray.tolist()`` will do).
+
+    The scalar kernel of the one pair distance: its four arcs are the
+    formula of ``arc_angle`` evaluated on Python floats by ``_arc``.
+    """
+    (a1, a2), (b1, b2) = a, b
+    straight = max(_arc(a1, b1), _arc(a2, b2))
+    crossed = max(_arc(a1, b2), _arc(a2, b1))
+    return min(straight, crossed)
 
 
 def pair_distance(a: SpherePointPair, b: SpherePointPair) -> float:
     """Distance between unordered pairs: best matching, worst point."""
-    return _pair_arc(a.cartesian(), b.cartesian())
+    return _pair_arc(a._xyz(), b._xyz())
 
 
 def rotate_pair(rot: np.ndarray, pair: SpherePointPair) -> SpherePointPair:
@@ -148,9 +177,8 @@ class MajoranaPoly:
 
     @staticmethod
     def from_ket(psi: Ket3) -> "MajoranaPoly":
-        return MajoranaPoly(
-            a0=psi.c_plus1 / _SQRT2, a1=-psi.c_zero, a2=psi.c_minus1 / _SQRT2
-        )
+        c_plus, c_zero, c_minus = psi.vec.tolist()
+        return MajoranaPoly(a0=c_plus / _SQRT2, a1=-c_zero, a2=c_minus / _SQRT2)
 
     def evaluate(self, z: complex) -> complex:
         return (self.a0 * z + self.a1) * z + self.a2

@@ -259,33 +259,37 @@ def verify_sequence(seq: PulseSequence, target: Unitary3) -> float:
 
 @dataclass(frozen=True)
 class SpectrumLine:
-    """One single-quantum line: its transition, amplitude and phase."""
+    """One single-quantum line: its transition and complex readout.
+
+    Amplitude and phase are the polar form of the readout.
+    """
 
     label: str
-    amplitude: float
-    phase: float
+    readout: complex
 
     @property
-    def readout(self) -> complex:
-        return self.amplitude * cmath.exp(1j * self.phase)
+    def amplitude(self) -> float:
+        return abs(self.readout)
+
+    @property
+    def phase(self) -> float:
+        return cmath.phase(self.readout)
 
 
 def spectrum_lines(rho: DensityMatrix3) -> tuple:
     """The two observable lines (1-2 and 2-3).
 
-    Amplitude is GAIN * 2|rho_rs| and phase is arg(rho_rs); the
-    double-quantum coherence rho_13 produces no line.
+    The readout is exactly GAIN * 2 rho_rs (so the amplitude is
+    GAIN * 2|rho_rs| and the phase arg(rho_rs)); the double-quantum
+    coherence rho_13 produces no line.
     """
+    gain = GAIN * 2.0
     lines = []
     for label, (r, s) in (("1-2", (0, 1)), ("2-3", (1, 2))):
-        coherence = complex(rho.mat[r, s])
-        lines.append(
-            SpectrumLine(
-                label=label,
-                amplitude=GAIN * 2.0 * abs(coherence),
-                phase=cmath.phase(coherence),
-            )
-        )
+        c = complex(rho.mat[r, s])
+        # scaled part by part: float * complex multiplies by (2 + 0j),
+        # which can flip the sign of a zero real part
+        lines.append(SpectrumLine(label, complex(gain * c.real, gain * c.imag)))
     return tuple(lines)
 
 

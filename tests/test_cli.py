@@ -18,7 +18,7 @@ from qutritsim.cli import (
     sample_trajectory,
 )
 from qutritsim.core import phase_invariant_distance
-from qutritsim.nmrsim import chrestenson_sequence, sequence_to_text
+from qutritsim.nmrsim import chrestenson_sequence, phase_table, sequence_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -429,6 +429,25 @@ def test_trajectory_csv_matches_per_value_formatting(capsys, monkeypatch, precis
             assert out == _per_value_csv(generator, spec, prec), (generator, spec)
             negative_zeros += out.count(",-0,")
     assert negative_zeros > 0  # the signed zero is part of the contract
+
+
+def _per_value_table1_csv(prec):
+    """Reference: the table1 CSV formatted one value and one line at a time."""
+    rows = phase_table()
+    keys = list(rows[0])
+    lines = [",".join(keys)] + [",".join(f"{row[k]:.{prec}g}" for k in keys) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("precision", ["1", "3", None, "17"])
+def test_table1_csv_matches_per_value_formatting(capsys, monkeypatch, precision):
+    if precision is None:
+        monkeypatch.delenv("QUTRITSIM_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("QUTRITSIM_PRECISION", precision)
+    code, out, err = run_cli(capsys, "table1", "--csv")
+    assert (code, err) == (0, "")
+    assert out == _per_value_table1_csv(int(precision or 12))
 
 
 # --------------------------------------------------------------------------

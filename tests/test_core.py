@@ -13,6 +13,7 @@ from qutritsim.core import (
     Ket3,
     Unitary3,
     ZeroVectorError,
+    _norm,
     dm_from_ket,
     fidelity,
     normalize,
@@ -189,6 +190,17 @@ def test_density_check_boundaries_fall_on_both_sides(rng):
 def test_normalize_scales_amplitudes_near_float_max():
     psi = normalize([complex(1.5e308, 1.5e308), 1.5e308, 0])
     assert np.allclose(psi.vec, np.array([1 + 1j, 1, 0]) / math.sqrt(3.0), atol=1e-15)
+
+
+def test_norm_helper_matches_numpy_bit_for_bit(rng):
+    # magnitudes from 1e-160 (squares underflow to subnormals) to 1e150
+    scale = 10.0 ** rng.uniform(-160.0, 150.0, (10_000, 1))
+    real = rng.standard_normal((10_000, 3)) * scale
+    cplx = (rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))) * scale
+    for v in (*real, *cplx, np.zeros(3), np.zeros(3, dtype=complex)):
+        got = _norm(v)
+        assert type(got) is float
+        assert got == float(np.linalg.norm(v)), v
 
 
 def test_unitary_rejects_nonunitary():

@@ -9,6 +9,8 @@ from qutritsim.core import Ket3, normalize, phase_invariant_distance, random_ket
 from qutritsim.geometry import magnetization
 from qutritsim.majorana import (
     MajoranaPoly,
+    _arc,
+    _pair_arc,
     SouthPoleError,
     SpherePoint,
     SpherePointPair,
@@ -200,3 +202,52 @@ def test_round_trip_property(amps):
     psi = normalize(raw)
     back = points_to_state(state_to_points(psi))
     assert phase_invariant_distance(back, psi) <= 1e-9
+
+
+# --------------------------------------------------------------------------
+# scalar kernels: one pair of vectors on Python floats
+
+
+def _unit_rows(raw):
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def _scalar_arc_cases(rng):
+    """(u, v) unit-vector pairs: random; 1e-9 to 1e-7 rad apart and the
+    same pairs made near-antipodal; and pole pairs."""
+    u = _unit_rows(rng.standard_normal((300, 3)))
+    cases = list(zip(u, _unit_rows(rng.standard_normal((300, 3)))))
+    for sep in (1e-9, 1e-8, 1e-7):
+        d = rng.standard_normal((300, 3))
+        d = _unit_rows(d - np.sum(d * u, axis=1, keepdims=True) * u)
+        v = math.cos(sep) * u + math.sin(sep) * d
+        cases += list(zip(u, v)) + list(zip(u, -v))
+    north, south = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+    cases += [(north, south), (south, north), (north, north), (south, south)]
+    cases += [(pole, w) for pole in (north, south) for w in u[:50]]
+    return cases
+
+
+def test_scalar_arc_agrees_with_arc_angle(rng):
+    for u, v in _scalar_arc_cases(rng):
+        assert abs(_arc(u.tolist(), v.tolist()) - float(arc_angle(u, v))) <= 1e-15
+
+
+def test_scalar_arc_exact_at_zero_and_pi(rng):
+    for u in _unit_rows(rng.standard_normal((200, 3))).tolist():
+        assert _arc(u, u) == 0.0
+    assert _arc((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)) == math.pi
+    assert great_circle_distance(NORTH, SOUTH) == math.pi
+    assert great_circle_distance(SOUTH, SOUTH) == 0.0
+
+
+def test_scalar_pair_arc_agrees_with_arc_angle(rng, degenerate_pairs):
+    def broadcast(a, b):
+        arc = arc_angle(a[:, None], b[None])
+        return min(max(arc[0, 0], arc[1, 1]), max(arc[0, 1], arc[1, 0]))
+
+    pairs = [pair.cartesian() for pair in degenerate_pairs]
+    pairs += list(_unit_rows(rng.standard_normal((400, 3))).reshape(200, 2, 3))
+    for a, b in zip(pairs, pairs[1:] + pairs[:1]):
+        assert abs(_pair_arc(a.tolist(), b.tolist()) - broadcast(a, b)) <= 1e-15
+        assert _pair_arc(a.tolist(), a.tolist()) == 0.0

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from qutritsim.core import (
 )
 from qutritsim.gates import chrestenson, phase_gate, swap
 from qutritsim.nmrsim import (
+    GAIN,
     Crush,
     CrushInSequenceError,
     HamiltonianParams,
@@ -108,6 +110,25 @@ def test_nonselective_90_gives_equal_in_phase_lines():
     assert line12.amplitude == pytest.approx(line23.amplitude, rel=1e-9)
     assert line12.amplitude > 0.0
     assert line12.phase == pytest.approx(line23.phase, abs=1e-12)
+
+
+def test_spectrum_readout_is_exactly_twice_coherence(rng):
+    for _ in range(1000):
+        rho = random_density(rng)
+        for line, (r, s) in zip(spectrum_lines(rho), ((0, 1), (1, 2))):
+            c = complex(rho.mat[r, s])
+            assert line.readout == 2 * rho.mat[r, s]
+            # the polar form keeps the bits of amplitude 2|rho_rs| and arg(rho_rs)
+            assert line.amplitude == GAIN * 2.0 * abs(c)
+            assert line.phase == cmath.phase(c)
+
+
+def test_spectrum_readout_keeps_signed_zeros():
+    mat = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    mat[0, 1], mat[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    line12, _ = spectrum_lines(DensityMatrix3(mat))
+    assert math.copysign(1.0, line12.readout.real) == -1.0
+    assert line12.phase == cmath.phase(complex(-0.0, -0.0)) == -math.pi
 
 
 def test_spectrum_readout_is_twice_coherence(rng):
