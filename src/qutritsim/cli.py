@@ -181,13 +181,25 @@ def _amplitudes_dict(psi: Ket3) -> dict:
     }
 
 
+def _decomposition(psi: Ket3) -> tuple:
+    """The canonical decomposition of psi as the report's dict (alpha, the
+    three angles and the residual), and the canonical state it reaches."""
+    alpha, angles = canonical_decompose(psi)
+    target = canonical_state(alpha)
+    residual = phase_invariant_distance(Ket3(angles.unitary() @ psi.vec), target)
+    report = {
+        "alpha": alpha,
+        "beta": angles.beta,
+        "gamma": angles.gamma,
+        "delta": angles.delta,
+        "residual": residual,
+    }
+    return report, target
+
+
 def _state_report(psi: Ket3) -> dict:
     pair = state_to_points(psi)
     mag = magnetization(psi)
-    alpha, angles = canonical_decompose(psi)
-    residual = phase_invariant_distance(
-        Ket3(angles.unitary() @ psi.vec), canonical_state(alpha)
-    )
     return {
         "amplitudes": _amplitudes_dict(psi),
         "majorana": {
@@ -206,13 +218,7 @@ def _state_report(psi: Ket3) -> dict:
             "bisector_length": mag.bisector_length,
             "pointing": mag.pointing,
         },
-        "canonical": {
-            "alpha": alpha,
-            "beta": angles.beta,
-            "gamma": angles.gamma,
-            "delta": angles.delta,
-            "residual": residual,
-        },
+        "canonical": _decomposition(psi)[0],
     }
 
 
@@ -228,19 +234,9 @@ def cmd_state(args) -> int:
 
 def cmd_decompose(args) -> int:
     psi = parse_state_spec(_join_spec(args.spec), args.degrees, args.seed)
-    alpha, angles = canonical_decompose(psi)
-    target = canonical_state(alpha)
-    residual = phase_invariant_distance(Ket3(angles.unitary() @ psi.vec), target)
-    _emit_json(
-        {
-            "alpha": alpha,
-            "beta": angles.beta,
-            "gamma": angles.gamma,
-            "delta": angles.delta,
-            "residual": residual,
-            "canonical_state": _amplitudes_dict(target),
-        }
-    )
+    report, target = _decomposition(psi)
+    report["canonical_state"] = _amplitudes_dict(target)
+    _emit_json(report)
     return 0
 
 
@@ -362,9 +358,8 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _add_state_options(sub, with_spec: bool = True):
-    if with_spec:
-        sub.add_argument("spec", nargs="+", help="state descriptor")
+def _add_state_options(sub, nargs: str = "+"):
+    sub.add_argument("spec", nargs=nargs, help="state descriptor")
     sub.add_argument("--degrees", action="store_true", help="angle inputs in degrees")
     sub.add_argument("--seed", type=int, default=0, help="seed for 'random' states")
 
@@ -410,9 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("spectrum", help="line positions for given omega0, kappa")
     p.add_argument("--omega0", type=float, required=True, help="Larmor frequency, Hz")
     p.add_argument("--kappa", type=float, required=True, help="quadrupolar coupling, Hz")
-    p.add_argument("spec", nargs="*", help="optional state for line amplitudes")
-    p.add_argument("--degrees", action="store_true", help="angle inputs in degrees")
-    p.add_argument("--seed", type=int, default=0, help="seed for 'random' states")
+    _add_state_options(p, nargs="*")
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("verify", help="check a pulse-sequence file against a gate")

@@ -6,6 +6,8 @@ The basis ordering is fixed everywhere in this package as
 
 Every value is immutable after construction and every operation is a
 pure function, so everything here is safe to share between threads.
+Because the values never change, other modules may cache values derived
+from one on the object itself (the Majorana pair of a Ket3, for one).
 """
 
 from __future__ import annotations

@@ -240,7 +240,10 @@ def stereographic(p: SpherePoint) -> complex:
 
 def inverse_stereographic(z: complex) -> SpherePoint:
     """Sphere point whose projection is the complex number z."""
-    r = abs(z)
+    try:
+        r = abs(z)
+    except OverflowError:  # |z| past the float range: the south pole
+        r = math.inf
     if r == 0.0:
         return SpherePoint(0.0, 0.0)
     return SpherePoint(2.0 * math.atan(r), _wrap_phi(cmath.phase(z)))
@@ -250,10 +253,25 @@ _SOUTH = SpherePoint(math.pi, 0.0)
 
 
 def state_to_points(psi: Ket3) -> SpherePointPair:
-    """Majorana pair of a normalized state."""
+    """Majorana pair of a normalized state.
+
+    The pair is computed once per Ket3 and stored on it; later calls on
+    the same ket return the stored pair. That is safe because a Ket3 is
+    frozen and its amplitudes are a read-only array, so the pair can never
+    go stale, and because the store is an idempotent attribute write:
+    threads sharing a ket at worst compute the same pair twice. Only this
+    function writes the store; a ket built by points_to_state computes its
+    own pair (a pair closer than about 1.2e-7 rad comes back merged).
+    """
+    try:
+        return psi._majorana_pair
+    except AttributeError:
+        pass
     finite, at_infinity = MajoranaPoly.from_ket(psi).roots()
     points = [inverse_stereographic(z) for z in finite] + [_SOUTH] * at_infinity
-    return SpherePointPair(points[0], points[1])
+    pair = SpherePointPair(points[0], points[1])
+    object.__setattr__(psi, "_majorana_pair", pair)
+    return pair
 
 
 def kets_to_points(kets) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutritsim import cli
@@ -402,6 +402,31 @@ def test_cached_parser_keeps_calls_independent(capsys, monkeypatch):
     assert len(built) <= 1
 
 
+@pytest.mark.parametrize(
+    "extra, spec, degrees, seed",
+    [
+        ([], [], False, 0),
+        (["random"], ["random"], False, 0),
+        (["1,0", "0,0", "0,1"], ["1,0", "0,0", "0,1"], False, 0),
+        (["canon:alpha=30", "--degrees"], ["canon:alpha=30"], True, 0),
+        (["--degrees"], [], True, 0),
+        (["random", "--seed", "7"], ["random"], False, 7),
+        (["--seed", "7"], [], False, 7),
+    ],
+)
+def test_spectrum_state_options(extra, spec, degrees, seed):
+    argv = ["spectrum", "--omega0", "100", "--kappa", "2.5", *extra]
+    assert vars(cli.build_parser().parse_args(argv)) == {
+        "command": "spectrum",
+        "omega0": 100.0,
+        "kappa": 2.5,
+        "spec": spec,
+        "degrees": degrees,
+        "seed": seed,
+        "func": cli.cmd_spectrum,
+    }
+
+
 TRAJECTORY_GENERATORS = [f"lambda{i}" for i in range(1, 9)] + [f"sigma{j}" for j in (1, 2, 3)]
 
 
@@ -532,6 +557,8 @@ _SEQUENCE_TEXT = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(spec=_STATE_SPEC)
+# a subnormal c_plus1 puts a root of the quadratic past the float range
+@example(spec="2.2250738585072014e-308,2.2250738585072014e-308 0.0,4.0 0.0,1.0")
 def test_arbitrary_state_text_exits_cleanly(spec):
     _assert_clean_exit(["state", spec])
     _assert_clean_exit(["decompose", spec])

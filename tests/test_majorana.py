@@ -1,12 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qutritsim.algebra import majorana_rotation_check
 from qutritsim.core import Ket3, normalize, phase_invariant_distance, random_ket
-from qutritsim.geometry import magnetization
+from qutritsim.geometry import canonical_decompose, canonical_state, magnetization
 from qutritsim.majorana import (
     MajoranaPoly,
     _arc,
@@ -62,6 +65,8 @@ def test_inverse_stereographic_round_trip():
     for z in (0.3 + 0.4j, -2.0 + 0.0j, 0.0 + 5.0j, 1e-3 - 1e-3j):
         p = inverse_stereographic(z)
         assert abs(stereographic(p) - z) < 1e-12 * max(1.0, abs(z))
+    # |z| overflows: the point at infinity is the south pole
+    assert inverse_stereographic(complex(1.3e308, 1.3e308)) == SOUTH
 
 
 def test_points_to_state_north_pair():
@@ -251,3 +256,103 @@ def test_scalar_pair_arc_agrees_with_arc_angle(rng, degenerate_pairs):
     for a, b in zip(pairs, pairs[1:] + pairs[:1]):
         assert abs(_pair_arc(a.tolist(), b.tolist()) - broadcast(a, b)) <= 1e-15
         assert _pair_arc(a.tolist(), a.tolist()) == 0.0
+
+
+# --------------------------------------------------------------------------
+# the point map is computed once per Ket3
+
+
+MEMO_KINDS = ("haar", "coherent", "antipodal", "plus1", "gimbal")
+MEMO_XI = (0.3, -1.2, 2.5)
+
+
+def _memo_vec(kind):
+    """Amplitudes of one ket per kind: Haar, spin-coherent, antipodal,
+    |+1> and a gimbal-lock ket of the decomposition golden."""
+    if kind == "haar":
+        return random_ket(np.random.default_rng(99)).vec
+    if kind == "coherent":
+        p = SpherePoint(1.1, 2.3)
+        return points_to_state(SpherePointPair(p, p)).vec
+    if kind == "antipodal":
+        pair = SpherePointPair(SpherePoint(0.7, 0.4), SpherePoint(math.pi - 0.7, 0.4 + math.pi))
+        return points_to_state(pair).vec
+    if kind == "plus1":
+        return np.array([1, 0, 0], dtype=complex)
+    golden = Path(__file__).parent / "golden" / "decompose_angles.json"
+    case = next(c for c in json.loads(golden.read_text()) if c["kind"] == "gimbal")
+    return np.array([complex(re, im) for re, im in case["amps"]])
+
+
+@pytest.fixture
+def count_roots(monkeypatch):
+    """List that gets one entry per MajoranaPoly.roots call."""
+    calls = []
+    roots = MajoranaPoly.roots
+
+    def counted(self):
+        calls.append(self)
+        return roots(self)
+
+    monkeypatch.setattr(MajoranaPoly, "roots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_states_op_maps_each_ket_once(kind, count_roots):
+    # the calls of one benchmark `states` op: psi is mapped once, and each
+    # of the 3 rigidity checks maps its own rotated ket
+    psi = Ket3(_memo_vec(kind))
+    back = points_to_state(state_to_points(psi))
+    assert phase_invariant_distance(psi, back) <= 1e-9
+    magnetization(psi)
+    alpha, angles = canonical_decompose(psi)
+    assert phase_invariant_distance(Ket3(angles.unitary() @ psi.vec), canonical_state(alpha)) <= 1e-9
+    for j, xi in zip((1, 2, 3), MEMO_XI):
+        assert majorana_rotation_check(psi, j, xi) <= 1e-8
+    assert len(count_roots) == 4
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_memoized_ket_gives_fresh_ket_bits(kind):
+    vec = _memo_vec(kind)
+    psi = Ket3(vec)
+    state_to_points(psi)
+
+    def results(ket):
+        """Everything derived from the pair, with ket() supplying each call's ket."""
+        mag = magnetization(ket())
+        alpha, angles = canonical_decompose(ket())
+        checks = [majorana_rotation_check(ket(), j, xi) for j, xi in zip((1, 2, 3), MEMO_XI)]
+        return (mag.m_vector.tolist(), mag.magnitude, mag.bisector_length, mag.pointing,
+                alpha, angles.beta, angles.gamma, angles.delta, checks)
+
+    # repr tells every float apart by its bits, signed zeros included
+    assert repr(results(lambda: psi)) == repr(results(lambda: Ket3(vec)))
+
+
+def test_round_trip_recomputes_the_pair():
+    # points_to_state must not hand its input pair to the ket it builds:
+    # a pair 5e-8 rad apart comes back from the point map merged
+    for theta in (0.4, math.pi / 2, 2.0):
+        pair = SpherePointPair(SpherePoint(theta - 2.5e-8, 1.0), SpherePoint(theta + 2.5e-8, 1.0))
+        back = state_to_points(points_to_state(pair))
+        assert back.p1 == back.p2
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_global_phase_kets_map_alike(kind, count_roots):
+    vec = _memo_vec(kind)
+    a, b = Ket3(vec), Ket3(-vec)
+    assert state_to_points(a) == state_to_points(b)
+    assert len(count_roots) == 2
+
+
+def test_ket_amplitudes_cannot_change():
+    # the stored pair relies on this
+    raw = np.array([1, 0, 0], dtype=complex)
+    psi = Ket3(raw)
+    with pytest.raises(ValueError):
+        psi.vec[0] = 0.0
+    raw[0] = 0.0
+    assert psi.vec.tolist() == [1, 0, 0]
