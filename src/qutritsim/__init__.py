@@ -23,7 +23,6 @@ from .core import (
     random_unitary,
 )
 from .majorana import (
-    DegeneratePairError,
     MajoranaPoly,
     SouthPoleError,
     SpherePoint,

@@ -11,10 +11,16 @@ Three generator sets drive everything:
   exp(i xi J_j) is the clockwise rotation about axis j by xi, which is
   exactly how the point pair of a state transforms under u_sigma(j, xi).
   ``r_so3(j, xi)`` builds that matrix in closed form, as the Rodrigues
-  rotation about e_j by -xi (``rotation_about_axis``, the one real
-  rotation builder of the package). The sign convention is pinned by the
+  rotation about e_j by -xi. The sign convention is pinned by the
   z-rotation action on a general state (azimuths decrease by xi) and
   holds for all axes; see ``majorana_rotation_check``.
+
+``_rodrigues`` is the one real rotation formula of the package. It
+computes the three rows of the rotation on Python floats;
+``rotation_about_axis`` and ``r_so3`` return them as an ndarray, while
+the decomposition geometry and the rigidity check apply the float rows
+directly. The rows match the numpy matrix products used before to a few
+ulps (numpy's 3x3 products may fuse multiply-adds, Python floats do not).
 
 Transition operators I_k^{rs} are the product-operator elements of the
 two-level subspaces, stored as fixed Gell-Mann combinations so the
@@ -27,10 +33,8 @@ import math
 
 import numpy as np
 
-from .core import Unitary3, Ket3
+from .core import _SQRT2, _SQRT3, ATOL, Ket3, Unitary3, _require_finite
 from .majorana import _pair_arc, state_to_points
-
-_SQRT3 = math.sqrt(3.0)
 
 
 def _ro(values) -> np.ndarray:
@@ -51,8 +55,8 @@ _L6 = _ro([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
 _L7 = _ro([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]])
 _L8 = _ro(np.diag([1, 1, -2]) / _SQRT3)
 
-_S1 = _ro(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2.0))
-_S2 = _ro(np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / math.sqrt(2.0))
+_S1 = _ro(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / _SQRT2)
+_S2 = _ro(np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / _SQRT2)
 _S3 = _ro(np.diag([1, 0, -1]))
 
 # Hermitian i*(antisymmetric) rotation generators with [J1, J2] = i J3
@@ -128,6 +132,7 @@ def u_lambda(i: int, theta: float) -> Unitary3:
     """exp(i*theta*L_i) for the i-th Gell-Mann generator, i in 1..8."""
     if not 1 <= i <= 8:
         raise ValueError(f"Gell-Mann index must be in 1..8, got {i}")
+    _require_finite("theta", theta)
     w, basis, vh = GELL_MANN_EIGH[i - 1]
     return Unitary3(_expm_i_eigh(theta, w, basis.mat, vh))
 
@@ -136,6 +141,7 @@ def u_sigma(j: int, xi: float) -> Unitary3:
     """exp(i*xi*Sigma_j) in closed form: I + (cos xi - 1) S^2 + i sin xi S."""
     if not 1 <= j <= 3:
         raise ValueError(f"axis index must be in 1..3, got {j}")
+    _require_finite("xi", xi)
     return Unitary3(_u_sigma_mat(j, xi))
 
 
@@ -145,11 +151,41 @@ def _u_sigma_mat(j: int, xi: float) -> np.ndarray:
     return _I3 + (math.cos(xi) - 1.0) * _SIGMA_SQUARED[j - 1] + 1j * math.sin(xi) * s
 
 
+_UNIT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _rodrigues(axis, angle: float) -> tuple:
+    """Rows of the counterclockwise rotation by angle about a unit axis,
+    I + sin(angle) K + (1 - cos(angle)) K^2 with K the cross-product
+    matrix of the axis, as three float triples. Unchecked: the axis must
+    be a unit float triple and the angle finite."""
+    x, y, z = axis
+    s, c = math.sin(angle), 1.0 - math.cos(angle)
+    xy, xz, yz = x * y, x * z, y * z
+    return (
+        (1.0 + c * (-z * z - y * y), -s * z + c * xy, s * y + c * xz),
+        (s * z + c * xy, 1.0 + c * (-z * z - x * x), -s * x + c * yz),
+        (-s * y + c * xz, s * x + c * yz, 1.0 + c * (-y * y - x * x)),
+    )
+
+
+def _rotate(rows, v) -> tuple:
+    """The rotation given by its rows applied to a float triple."""
+    v0, v1, v2 = v
+    return tuple(r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in rows)
+
+
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Counterclockwise rotation by angle about a unit axis (Rodrigues)."""
+    """Counterclockwise rotation by angle about a unit axis (Rodrigues).
+
+    Raises ValueError for a non-finite angle, or an axis that is not
+    finite or whose norm differs from 1 by more than ATOL.
+    """
+    _require_finite("angle", angle)
     x, y, z = np.asarray(axis, dtype=float).tolist()
-    kx = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return _I3 + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
+    if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= ATOL:  # also refuses NaN and inf
+        raise ValueError(f"rotation axis must be a finite unit vector, got {(x, y, z)}")
+    return np.array(_rodrigues((x, y, z), angle))
 
 
 def r_so3(j: int, xi: float) -> np.ndarray:
@@ -159,7 +195,8 @@ def r_so3(j: int, xi: float) -> np.ndarray:
     """
     if not 1 <= j <= 3:
         raise ValueError(f"axis index must be in 1..3, got {j}")
-    return rotation_about_axis(_I3[j - 1], -xi)
+    _require_finite("xi", xi)
+    return np.array(_rodrigues(_UNIT_AXES[j - 1], -xi))
 
 
 def transition_unitary(levels, axis: str, xi: float) -> Unitary3:
@@ -172,7 +209,9 @@ def transition_unitary(levels, axis: str, xi: float) -> Unitary3:
     for them only the exponential form is unitary and it is what is
     returned. It is built from the eigenbasis cached at import.
     """
-    return Unitary3(_transition_mat(*_transition_key(levels, axis), xi))
+    key = _transition_key(levels, axis)
+    _require_finite("xi", xi)
+    return Unitary3(_transition_mat(*key, xi))
 
 
 def _transition_mat(levels: tuple, axis: str, xi: float) -> np.ndarray:
@@ -187,8 +226,10 @@ def majorana_rotation_check(psi: Ket3, j: int, xi: float) -> float:
 
     Raises ValueError for an axis index outside 1..3 or a non-finite
     angle xi. Past that check the rotated ket is the one value validated
-    (as a Ket3); both point pairs are compared as Cartesian float triples
-    by the scalar pair kernel ``_pair_arc``.
+    (as a Ket3). The rigid side rotates the two float triples of the
+    stored pair of psi by the float rows of ``_rodrigues``; both point
+    pairs are compared as Cartesian float triples by the scalar pair
+    kernel ``_pair_arc``.
 
     Contract: <= 1e-8 for every normalized state and angle, except for
     states whose two points are about 8e-8 to 3e-7 rad apart. There the
@@ -197,8 +238,8 @@ def majorana_rotation_check(psi: Ket3, j: int, xi: float) -> float:
     """
     if not 1 <= j <= 3:
         raise ValueError(f"axis index must be in 1..3, got {j}")
-    if not math.isfinite(xi):
-        raise ValueError(f"rotation angle must be finite, got {xi}")
+    _require_finite("rotation angle", xi)
     direct = state_to_points(Ket3(_u_sigma_mat(j, xi) @ psi.vec))._xyz()
-    rigid = state_to_points(psi).cartesian() @ r_so3(j, ROTATION_SIGN * xi).T
-    return _pair_arc(direct, rigid.tolist())
+    rows = _rodrigues(_UNIT_AXES[j - 1], -ROTATION_SIGN * xi)
+    rigid = [_rotate(rows, p) for p in state_to_points(psi)._xyz()]
+    return _pair_arc(direct, rigid)

@@ -24,6 +24,10 @@ DEGENERACY_EPS = 1e-12
 
 DIM = 3
 
+_SQRT2 = math.sqrt(2.0)
+_SQRT3 = math.sqrt(3.0)
+_TWO_PI = 2.0 * math.pi
+
 
 class ZeroVectorError(ValueError):
     """A vector with (near-)zero norm cannot be normalized."""
@@ -31,6 +35,12 @@ class ZeroVectorError(ValueError):
 
 class ContractViolation(RuntimeError):
     """A numerical contract failed; the CLI exits with code 2."""
+
+
+def _require_finite(name: str, value: float) -> None:
+    """Raise ValueError naming the value unless it is a finite number."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _norm(v: np.ndarray) -> float:

@@ -26,9 +26,7 @@ import math
 
 import numpy as np
 
-from .core import Unitary3
-
-_SQRT3 = math.sqrt(3.0)
+from .core import _SQRT3, Unitary3
 
 # Sign relating the shipped l8 diagonal to the generator exponential.
 PHASE_L8_SIGN = -1

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA, _u_sigma_mat, rotation_about_axis
-from .core import ATOL, DEGENERACY_EPS, Ket3, _norm
+from .algebra import _UNIT_AXES, SIGMA, _rodrigues, _rotate, _u_sigma_mat
+from .core import _SQRT2, ATOL, DEGENERACY_EPS, Ket3, _norm, _require_finite
 from .majorana import SpherePointPair, state_to_points
 
 
@@ -71,7 +71,9 @@ class DecompositionAngles:
 
     Raises ValueError at construction if an angle is not finite, so
     ``unitary()`` is a product of closed-form rotations that is unitary
-    by construction and is returned unchecked.
+    by construction and is returned unchecked. The product is computed on
+    the first call and stored on the (frozen) instance as a read-only
+    array; later calls return the same array.
     """
 
     beta: float
@@ -80,16 +82,17 @@ class DecompositionAngles:
 
     def __post_init__(self):
         for name in ("beta", "gamma", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _require_finite(name, getattr(self, name))
 
     def unitary(self) -> np.ndarray:
-        return (
-            _u_sigma_mat(1, self.delta)
-            @ _u_sigma_mat(3, self.gamma)
-            @ _u_sigma_mat(2, self.beta)
-        )
+        try:
+            return self._unitary
+        except AttributeError:
+            pass
+        mat = _u_sigma_mat(1, self.delta) @ _u_sigma_mat(3, self.gamma) @ _u_sigma_mat(2, self.beta)
+        mat.setflags(write=False)
+        object.__setattr__(self, "_unitary", mat)
+        return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +115,13 @@ def magnetization(psi: Ket3) -> MagnetizationReport:
     """Expectation values of the three spin operators, plus geometry."""
     c_plus, c_zero, c_minus = psi.vec.tolist()
     # <S1> + i<S2> = <S1 + i S2>, and S1 + i S2 = sqrt(2) (|+1><0| + |0><-1|)
-    s_plus = math.sqrt(2.0) * (c_plus.conjugate() * c_zero + c_zero.conjugate() * c_minus)
+    s_plus = _SQRT2 * (c_plus.conjugate() * c_zero + c_zero.conjugate() * c_minus)
     m = np.array([s_plus.real, s_plus.imag, abs(c_plus) ** 2 - abs(c_minus) ** 2])
     m.setflags(write=False)
     magnitude = _norm(m)
-    pts = state_to_points(psi).cartesian()
-    bisector = _norm(pts[0] + pts[1]) / 2.0
+    (x1, y1, z1), (x2, y2, z2) = state_to_points(psi)._xyz()
+    sx, sy, sz = x1 + x2, y1 + y2, z1 + z2
+    bisector = math.sqrt(sx * sx + sy * sy + sz * sz) / 2.0
     return MagnetizationReport(
         m_vector=m,
         magnitude=magnitude,
@@ -126,68 +130,67 @@ def magnetization(psi: Ket3) -> MagnetizationReport:
     )
 
 
-def _minimal_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Shortest rotation carrying unit vector u onto unit vector v.
+def _minimal_rotation(u, v) -> tuple:
+    """Rows of the shortest rotation carrying unit triple u onto unit triple v.
 
     Requires u.v >= 0 (both callers pick the target on u's side), so
     parallel vectors are equal and need no turn.
     """
-    u0, u1, u2 = u.tolist()
-    v0, v1, v2 = v.tolist()
-    cross = np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
-    s = _norm(cross)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    c0, c1, c2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    s = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     if s < DEGENERACY_EPS:
-        return np.eye(3)
-    return rotation_about_axis(cross / s, math.atan2(s, float(np.dot(u, v))))
+        return _UNIT_AXES  # the rows of the identity
+    return _rodrigues((c0 / s, c1 / s, c2 / s), math.atan2(s, u0 * v0 + u1 * v1 + u2 * v2))
 
 
-def _pair_to_canonical_rotation(pair: SpherePointPair) -> np.ndarray:
-    """Rotation sending the pair onto the x = 0 plane, symmetric about z."""
-    p1, p2 = pair.cartesian()
-    midpoint = 0.5 * (p1 + p2)
-    radius = _norm(midpoint)
+def _pair_to_canonical_rotation(pair: SpherePointPair) -> tuple:
+    """Rows of the rotation sending the pair onto the x = 0 plane,
+    symmetric about z."""
+    p1, p2 = pair._xyz()
+    m0, m1, m2 = (0.5 * (a + b) for a, b in zip(p1, p2))
+    radius = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
     if radius <= 1e-8:
         # antipodal pair: carry its axis onto the y axis
-        axis = p1
-        target = np.array([0.0, 1.0, 0.0])
-        if np.dot(axis, target) < 0.0:
-            target = -target
-        return _minimal_rotation(axis, target)
-    pole = np.array([0.0, 0.0, 1.0 if midpoint[2] >= 0.0 else -1.0])
-    r1 = _minimal_rotation(midpoint / radius, pole)
-    q1 = r1 @ p1
-    horiz = np.array([q1[0], q1[1], 0.0])
-    h = _norm(horiz)
-    if h <= 1e-8:
+        target = (0.0, 1.0, 0.0) if p1[1] >= 0.0 else (-0.0, -1.0, -0.0)
+        return _minimal_rotation(p1, target)
+    pole = (0.0, 0.0, 1.0 if m2 >= 0.0 else -1.0)
+    r1 = _minimal_rotation((m0 / radius, m1 / radius, m2 / radius), pole)
+    q0, q1, _ = _rotate(r1, p1)
+    if math.sqrt(q0 * q0 + q1 * q1) <= 1e-8:
         return r1  # coincident points already on the axis
     # The pair is unordered, so the chord may reach the y axis through
     # either point; take the smaller turn.
-    spin = math.remainder(math.pi / 2 - math.atan2(q1[1], q1[0]), math.pi)
-    r2 = rotation_about_axis(np.array([0.0, 0.0, 1.0]), spin)
-    return r2 @ r1
+    spin = math.remainder(math.pi / 2 - math.atan2(q1, q0), math.pi)
+    r2 = _rodrigues(_UNIT_AXES[2], spin)
+    r1_columns = tuple(zip(*r1))
+    return tuple(_rotate(r1_columns, row) for row in r2)  # r2 @ r1
 
 
-def _factor_xzy(rot: np.ndarray):
-    """Both factorizations rot = R_x(a) R_z(b) R_y(c) (counterclockwise).
+def _factor_xzy(rot) -> list:
+    """Both factorizations rot = R_x(a) R_z(b) R_y(c) (counterclockwise),
+    for a rotation given by its rows.
 
-    The middle angle satisfies sin(b) = -rot[0,1]; the two asin branches
+    The middle angle satisfies sin(b) = -rot[0][1]; the two asin branches
     give two exact solutions. Near the gimbal lock |cos b| ~ 0 the outer
     angles are degenerate and c is pinned to 0.
     """
-    sb = max(-1.0, min(1.0, -float(rot[0, 1])))
+    (r00, r01, r02), (r10, r11, _), (r20, r21, _) = rot
+    sb = max(-1.0, min(1.0, -r01))
     solutions = []
     if abs(abs(sb) - 1.0) < 1e-12:
         b = math.copysign(math.pi / 2, sb)
         if sb > 0:
-            a = math.atan2(rot[2, 0], rot[1, 0])
+            a = math.atan2(r20, r10)
         else:
-            a = math.atan2(-rot[2, 0], -rot[1, 0])
+            a = math.atan2(-r20, -r10)
         solutions.append((a, b, 0.0))
     else:
         for b in (math.asin(sb), math.pi - math.asin(sb)):
             cb = math.cos(b)
-            a = math.atan2(rot[2, 1] / cb, rot[1, 1] / cb)
-            c = math.atan2(rot[0, 2] / cb, rot[0, 0] / cb)
+            a = math.atan2(r21 / cb, r11 / cb)
+            c = math.atan2(r02 / cb, r00 / cb)
             solutions.append((a, b, c))
     return solutions
 

@@ -34,10 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERACY_EPS, Ket3
+from .core import _SQRT2, _TWO_PI, DEGENERACY_EPS, Ket3
 
-_SQRT2 = math.sqrt(2.0)
-_TWO_PI = 2.0 * math.pi
 # A discriminant within _DOUBLE_ROOT_TOL * |psi|^2 of zero is taken as a
 # double root. |a1^2 - 4 a0 a2| / |psi|^2 is invariant under rotations,
 # so a state and its rotated copy snap alike up to roundoff. Roundoff
@@ -49,10 +47,6 @@ _DOUBLE_ROOT_TOL = 8.0 * np.finfo(float).eps
 
 class SouthPoleError(ValueError):
     """Stereographic image of the south pole is the point at infinity."""
-
-
-class DegeneratePairError(ValueError):
-    """Normalization constant underflow; unreachable for valid points."""
 
 
 def _wrap_phi(phi: float) -> float:
@@ -327,9 +321,7 @@ def points_to_state(pair: SpherePointPair) -> Ket3:
     c2, s2 = math.cos(0.5 * t2), math.sin(0.5 * t2)
     e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
     bracket = 3.0 + math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
-    # bracket >= 2 for any pair of angles; underflow would be a bug signal.
-    if bracket < DEGENERACY_EPS:
-        raise DegeneratePairError(f"normalization bracket underflow: {bracket}")
+    # bracket = 3 + p1.p2 >= 2 (at least 2 - 3 eps after rounding)
     gamma = _SQRT2 / math.sqrt(bracket)
     column = np.array(
         [

@@ -52,10 +52,7 @@ from itertools import groupby
 import numpy as np
 
 from .algebra import _I3, _transition_mat, _u_sigma_mat
-from .core import DensityMatrix3, Unitary3
-
-_SQRT3 = math.sqrt(3.0)
-_TWO_PI = 2.0 * math.pi
+from .core import _SQRT3, _TWO_PI, DensityMatrix3, Unitary3
 
 # Ideal detector gain: readout = GAIN * 2 * rho_rs.
 GAIN = 1.0

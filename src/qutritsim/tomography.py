@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GELL_MANN
-from .core import DensityMatrix3, fidelity
+from .core import _SQRT3, DensityMatrix3, fidelity
 from .nmrsim import (
     Crush,
     PulseSequence,
@@ -36,8 +36,6 @@ from .nmrsim import (
     run_sequence,
     spectrum_lines,
 )
-
-_SQRT3 = math.sqrt(3.0)
 
 CONSISTENCY_TOL = 1e-6
 

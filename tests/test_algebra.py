@@ -7,8 +7,10 @@ from qutritsim.algebra import (
     GELL_MANN,
     JDEF,
     SIGMA,
+    _rodrigues,
     majorana_rotation_check,
     r_so3,
+    rotation_about_axis,
     transition_op,
     transition_unitary,
     u_lambda,
@@ -118,6 +120,48 @@ def test_r_so3_z_decreases_azimuth():
     v = np.array([math.cos(0.4), math.sin(0.4), 0.0])
     rotated = r_so3(3, xi) @ v
     assert math.atan2(rotated[1], rotated[0]) == pytest.approx(0.4 - xi, abs=1e-12)
+
+
+def test_rotation_about_axis_is_the_float_rodrigues_rotation(rng):
+    # the ndarray builder returns the float rows exactly, and they are the
+    # exponential of the cross-product generator (counterclockwise turn)
+    for _ in range(20):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        x, y, z = axis.tolist()
+        generator = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        for t in (0.0, math.pi, -math.pi, 2 * math.pi, float(rng.uniform(-7.0, 7.0))):
+            rot = rotation_about_axis(axis, t)
+            assert [list(row) for row in _rodrigues((x, y, z), t)] == rot.tolist()
+            assert np.max(np.abs(rot - expm_series(t * generator))) < 1e-12
+            # 4e-15 (18 eps): the rounding of a normalized float axis and
+            # of the formula itself reach about 2e-15 here
+            assert np.max(np.abs(rot @ rot.T - np.eye(3))) <= 4e-15
+            assert abs(np.linalg.det(rot) - 1.0) <= 4e-15
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: r_so3(1, math.nan), "xi must be finite", id="r_so3-nan"),
+        pytest.param(lambda: r_so3(3, -math.inf), "xi must be finite", id="r_so3-inf"),
+        pytest.param(lambda: rotation_about_axis([0.0, 0.0, 1.0], math.nan), "angle must be finite",
+                     id="axis_rotation-nan"),
+        pytest.param(lambda: rotation_about_axis([0.0, 0.0, 2.0], 0.5), "finite unit vector",
+                     id="axis_rotation-long-axis"),
+        pytest.param(lambda: rotation_about_axis([math.nan, 0.0, 1.0], 0.5), "finite unit vector",
+                     id="axis_rotation-nan-axis"),
+        pytest.param(lambda: rotation_about_axis([0.0, math.inf, 0.0], 0.5), "finite unit vector",
+                     id="axis_rotation-inf-axis"),
+        pytest.param(lambda: u_sigma(1, math.inf), "xi must be finite", id="u_sigma-inf"),
+        pytest.param(lambda: u_lambda(2, math.nan), "theta must be finite", id="u_lambda-nan"),
+        pytest.param(lambda: transition_unitary((1, 2), "x", math.nan), "xi must be finite",
+                     id="transition_unitary-nan"),
+    ],
+)
+def test_rotations_reject_non_finite_or_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _basis(r, s):

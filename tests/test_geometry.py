@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutritsim.algebra import SIGMA, majorana_rotation_check, u_lambda, u_sigma
+from qutritsim.algebra import SIGMA, _u_sigma_mat, majorana_rotation_check, u_lambda, u_sigma
 from qutritsim.core import Ket3, Unitary3, phase_invariant_distance, random_ket
 from qutritsim.gates import chrestenson
 from qutritsim.geometry import (
     CanonicalForm,
     DecompositionAngles,
+    _pair_to_canonical_rotation,
     canonical_decompose,
     canonical_state,
     magnetization,
@@ -230,3 +231,41 @@ def test_rotation_path_builds_no_checked_unitary(monkeypatch, rng):
     assert built == []
     u_sigma(1, 0.3)  # the counter sees a checked construction
     assert len(built) == 1
+
+
+def test_pair_to_canonical_rotation_rows(rng, degenerate_pairs, near_coincident_pairs):
+    # the rows form a rotation that puts both points on the x = 0 plane,
+    # mirror images of each other in the z axis: (0, y, z) and (0, -y, z)
+    pairs = degenerate_pairs + [pair for _, pair in near_coincident_pairs]
+    pairs += [state_to_points(random_ket(rng)) for _ in range(200)]
+    branches = set()
+    for pair in pairs:
+        p1, p2 = (np.array(p) for p in pair._xyz())
+        half_chord = np.linalg.norm(p1 - p2) / 2.0
+        if np.linalg.norm(p1 + p2) / 2.0 <= 1e-8:
+            branches.add("antipodal")
+        elif half_chord <= 1e-8:
+            branches.add("coincident")
+        else:
+            branches.add("generic")
+        rot = np.array(_pair_to_canonical_rotation(pair))
+        assert np.max(np.abs(rot @ rot.T - np.eye(3))) <= 1e-12
+        q1, q2 = rot @ p1, rot @ p2
+        # a pair closer than the branch threshold is left as it lies
+        tol = max(1e-12, half_chord) if half_chord <= 1e-8 else 1e-12
+        assert max(abs(q1[0]), abs(q2[0]), abs(q1[1] + q2[1]), abs(q1[2] - q2[2])) <= tol, pair
+    assert branches == {"antipodal", "coincident", "generic"}
+
+
+def test_decomposition_unitary_is_computed_once(rng):
+    _, angles = canonical_decompose(random_ket(rng))
+    for angles in (angles, DecompositionAngles(0.3, -1.1, 2.0)):
+        u = angles.unitary()
+        assert angles.unitary() is u
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+        fresh = _u_sigma_mat(1, angles.delta) @ _u_sigma_mat(3, angles.gamma) @ _u_sigma_mat(2, angles.beta)
+        assert u.tobytes() == fresh.tobytes()
+        # the stored product is not a field: equality and hashing ignore it
+        same = DecompositionAngles(angles.beta, angles.gamma, angles.delta)
+        assert same == angles and hash(same) == hash(angles)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qutritsim import algebra, geometry
 from qutritsim.algebra import majorana_rotation_check
 from qutritsim.core import Ket3, normalize, phase_invariant_distance, random_ket
 from qutritsim.geometry import canonical_decompose, canonical_state, magnetization
@@ -311,6 +312,31 @@ def test_states_op_maps_each_ket_once(kind, count_roots):
     for j, xi in zip((1, 2, 3), MEMO_XI):
         assert majorana_rotation_check(psi, j, xi) <= 1e-8
     assert len(count_roots) == 4
+
+
+@pytest.mark.parametrize("kind, expected", [("haar", 9), ("coherent", 9), ("antipodal", 9),
+                                            ("plus1", 9), ("gimbal", 6)])
+def test_states_op_builds_each_decomposition_unitary_once(kind, expected, monkeypatch):
+    # 3 factors per decomposition candidate (one candidate at the gimbal
+    # lock, else two), none for the caller's residual, which reuses the
+    # winner's product, and one per rigidity check
+    calls = []
+    u_sigma_mat = algebra._u_sigma_mat
+
+    def counted(j, xi):
+        calls.append((j, xi))
+        return u_sigma_mat(j, xi)
+
+    monkeypatch.setattr(algebra, "_u_sigma_mat", counted)
+    monkeypatch.setattr(geometry, "_u_sigma_mat", counted)
+    psi = Ket3(_memo_vec(kind))
+    points_to_state(state_to_points(psi))
+    magnetization(psi)
+    alpha, angles = canonical_decompose(psi)
+    assert phase_invariant_distance(Ket3(angles.unitary() @ psi.vec), canonical_state(alpha)) <= 1e-9
+    for j, xi in zip((1, 2, 3), MEMO_XI):
+        majorana_rotation_check(psi, j, xi)
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("kind", MEMO_KINDS)
